@@ -28,7 +28,7 @@ byte-identical output for every engine.
 :class:`LeafBatchQueue` is the batched leaf-pair work-queue the
 traversals feed (following the batching scheme of Gowanlock & Karsin's
 GPU self-join): instead of filtering each leaf's candidate list in its
-own tiny dispatch, candidates accumulate into preallocated index buffers
+own tiny dispatch, candidates accumulate into reusable index buffers
 and are filtered one backend-sized tile at a time.
 """
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,8 +63,8 @@ VALID_KERNEL_BACKENDS = ("auto", "numpy", "numba")
 #: Candidate row pairs per work-queue tile.  Large enough that the
 #: cascade always engages on full tiles and per-tile dispatch overhead
 #: vanishes; small enough that a tile's gathered coordinates stay
-#: cache-friendly and the two preallocated int64 index buffers cost
-#: only ~1 MiB.  The tile size is a property of the queue, not of the
+#: cache-friendly and the two int64 index buffers cost at most
+#: ~1 MiB.  The tile size is a property of the queue, not of the
 #: backend: both backends see identical tiles, so the per-stage survivor
 #: counters match exactly across backends.  This constant is the
 #: fallback; ``repro calibrate`` sweeps tile sizes and stores the
@@ -78,12 +78,12 @@ DEFAULT_TILE_ROWS = 65_536
 _ENV_BACKEND = "REPRO_KERNEL_BACKEND"
 
 
-def gather_dims(cols: np.ndarray, dims: Sequence[int], rows: np.ndarray) -> np.ndarray:
-    """``(m, b)`` block of the given dimensions for the given rows."""
-    block = np.empty((len(rows), len(dims)), dtype=cols.dtype)
-    for j, dim in enumerate(dims):
-        block[:, j] = cols[dim][rows]
-    return block
+def _abs_column_diff(
+    col_a: np.ndarray, col_b: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray
+) -> np.ndarray:
+    """``|col_a[rows_a] - col_b[rows_b]|`` as one fresh ``(m,)`` array."""
+    diff = np.take(col_a, rows_a) - np.take(col_b, rows_b)
+    return np.abs(diff, out=diff)
 
 
 def gather_rows(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -146,7 +146,7 @@ class NumpyBackend(KernelBackend):
         # Stage 1..n_filters: single-dimension pre-filters.
         for stage in range(plan.n_filters):
             dim = plan.order[stage]
-            diff = np.abs(cols_a[dim][rows_a] - cols_b[dim][rows_b])
+            diff = _abs_column_diff(cols_a[dim], cols_b[dim], rows_a, rows_b)
             touched += diff.size
             keep = np.flatnonzero(diff <= context.filter_bound)
             rows_a = rows_a[keep]
@@ -154,7 +154,7 @@ class NumpyBackend(KernelBackend):
             alive = alive[keep]
             # The filter dimension's contribution is already computed;
             # folding it into the accumulator tightens later pruning.
-            acc = metric.accumulate_abs_diff(acc[keep], diff[keep][:, None], (dim,))
+            acc = metric.accumulate_abs_column(acc[keep], diff[keep], dim)
             survivors.append(len(keep))
             if emit_events:
                 trace.add_event(
@@ -166,19 +166,21 @@ class NumpyBackend(KernelBackend):
                     survivors=int(len(keep)),
                 )
 
-        # Blocked short-circuit reduction over the remaining dimensions.
+        # Blocked short-circuit reduction over the remaining dimensions:
+        # each column is gathered, subtracted and folded into the key on
+        # its own, so every temporary is one contiguous column, and rows
+        # are pruned once per block.
         remaining = plan.order[plan.n_filters:]
         reduction_in = len(rows_a)
         for start in range(0, len(remaining), plan.block_dims):
             if not len(rows_a):
                 break
             block_dims = remaining[start:start + plan.block_dims]
-            diff = np.abs(
-                gather_dims(cols_a, block_dims, rows_a)
-                - gather_dims(cols_b, block_dims, rows_b)
-            )
-            touched += diff.size
-            acc = metric.accumulate_abs_diff(acc, diff, block_dims)
+            for dim in block_dims:
+                acc = metric.accumulate_abs_column(
+                    acc, _abs_column_diff(cols_a[dim], cols_b[dim], rows_a, rows_b), dim
+                )
+            touched += len(rows_a) * len(block_dims)
             keep = np.flatnonzero(acc <= context.prune_key)
             if len(keep) < len(rows_a):
                 rows_a = rows_a[keep]
@@ -518,9 +520,11 @@ class LeafBatchQueue:
     per band per leaf); filtering each individually pays per-call
     dispatch and — below ``MIN_CASCADE_ROWS`` — forfeits the cascade
     entirely.  The queue copies incoming candidate indices into two
-    preallocated int64 tile buffers and invokes ``filter_rows`` exactly
-    once per full tile (plus once for the remainder at ``flush``),
-    emitting the surviving pairs through ``emit``.
+    int64 tile buffers and invokes ``filter_rows`` exactly once per
+    full tile (plus once for the remainder at ``flush``), emitting the
+    surviving pairs through ``emit``.  The buffers grow on demand (by
+    doubling) up to one tile, so a small probe — a single range query —
+    never allocates a whole tile.
 
     Exactness: every backend's verdict is a pure per-row function, so
     regrouping candidates across leaves cannot change any verdict — only
@@ -549,8 +553,8 @@ class LeafBatchQueue:
         self._filter_rows = filter_rows
         self._emit = emit
         self.tile_rows = int(tile_rows)
-        self._buf_a = np.empty(self.tile_rows, dtype=np.int64)
-        self._buf_b = np.empty(self.tile_rows, dtype=np.int64)
+        self._buf_a = np.empty(0, dtype=np.int64)
+        self._buf_b = np.empty(0, dtype=np.int64)
         self._fill = 0
 
     def add(self, rows_a: np.ndarray, rows_b: np.ndarray) -> None:
@@ -560,12 +564,21 @@ class LeafBatchQueue:
         while pos < n:
             take = min(self.tile_rows - self._fill, n - pos)
             stop = self._fill + take
+            if stop > len(self._buf_a):
+                self._grow(stop)
             self._buf_a[self._fill:stop] = rows_a[pos:pos + take]
             self._buf_b[self._fill:stop] = rows_b[pos:pos + take]
             self._fill = stop
             pos += take
             if self._fill == self.tile_rows:
                 self.flush()
+
+    def _grow(self, need: int) -> None:
+        size = min(self.tile_rows, max(need, 2 * len(self._buf_a)))
+        for name in ("_buf_a", "_buf_b"):
+            grown = np.empty(size, dtype=np.int64)
+            grown[:self._fill] = getattr(self, name)[:self._fill]
+            setattr(self, name, grown)
 
     def flush(self) -> None:
         """Filter and emit everything currently buffered."""

@@ -49,10 +49,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends import LeafBatchQueue
 from repro.core.config import JoinSpec, validate_points
 from repro.core.epsilon_kdb import Grid, TreeDescription
-from repro.core.kernels import KernelSource, build_kernel_context
 from repro.errors import InvalidParameterError
 from repro.obs import trace
 
@@ -125,6 +123,9 @@ class FlatEpsilonKdbTree:
         build_sort_seconds: wall-clock spent in the stable radix
             argsorts (the dominant build cost; surfaced in
             ``JoinStats``).
+
+    The traversal's search arrays (:meth:`sweep_index`,
+    :meth:`child_index`) are derived on first use and cached.
     """
 
     def __init__(
@@ -137,6 +138,7 @@ class FlatEpsilonKdbTree:
         node_table: Dict[str, np.ndarray],
         build_sort_seconds: float = 0.0,
         points_flat: Optional[np.ndarray] = None,
+        value_rank: Optional[np.ndarray] = None,
     ):
         self.points = points
         self.spec = spec
@@ -161,6 +163,12 @@ class FlatEpsilonKdbTree:
         self.node_first_child = node_table["first_child"]
         self.node_n_children = node_table["n_children"]
         self.build_sort_seconds = float(build_sort_seconds)
+        # Each flat row's position in the stable value order of
+        # ``sort_values`` (known from the build's first sort; ``None``
+        # for shipped or loaded trees, which derive it on first use).
+        self._value_rank = value_rank
+        self._sweep_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._child_index: Optional[Tuple[np.ndarray, int]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -196,6 +204,10 @@ class FlatEpsilonKdbTree:
                 )
             )
             sort_seconds += time.perf_counter() - started
+            # Input row -> position in that value order; the traversal's
+            # rank-keyed band windows need it (see ``sweep_index``).
+            value_rank = np.empty(n, dtype=np.int64)
+            value_rank[order] = np.arange(n, dtype=np.int64)
 
         # Per-position partition labels over the *final* permutation
         # (node starts never move once created: every sort below is a
@@ -284,26 +296,8 @@ class FlatEpsilonKdbTree:
             node_table,
             build_sort_seconds=sort_seconds,
             points_flat=points_flat,
+            value_rank=value_rank[perm],
         )
-
-    def ensure_digit_levels(self, count: int) -> None:
-        """Extend ``digits`` to at least ``count`` rows.
-
-        The build computes digit rows only down to this tree's own
-        depth.  A two-set join reads a leaf's digits at the *other*
-        tree's internal depths, which may be deeper — append the missing
-        levels (plain ``cell_of`` over the already-permuted rows; no
-        sorting involved).
-        """
-        count = min(int(count), len(self.level_dims))
-        have = len(self.digits)
-        if count <= have:
-            return
-        extra = np.empty((count - have, len(self.perm)), dtype=np.int64)
-        for pos in range(have, count):
-            dim = int(self.level_dims[pos])
-            extra[pos - have] = self.grid.cell_of(self.points_flat[:, dim], dim)
-        self.digits = np.vstack([self.digits, extra])
 
     @staticmethod
     def _node_table(
@@ -410,6 +404,60 @@ class FlatEpsilonKdbTree:
         )
 
     # ------------------------------------------------------------------
+    # traversal indices
+    # ------------------------------------------------------------------
+    def sweep_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sorted_values, rank_key)`` for rank-keyed band windows.
+
+        ``sorted_values`` is ``sort_values`` in stable ascending order and
+        ``rank_key[r] = leaf_start(r) * (n + 1) + rank(r)``, where
+        ``rank(r)`` is row ``r``'s position in that order.  Leaves are
+        contiguous and value-sorted, so ``rank_key`` is strictly
+        increasing, and the rows of the leaf starting at flat row ``s``
+        whose values lie in ``sorted_values[lo:hi]`` are the flat rows
+        ``searchsorted(rank_key, s * (n + 1) + lo)`` up to the same
+        search at ``hi``: one band window per (row, leaf) pair for any
+        number of pairs, in two whole-array ``searchsorted`` calls.
+        """
+        if self._sweep_index is None:
+            n = len(self.perm)
+            rank = self._value_rank
+            if rank is None:
+                order = _value_order(self.sort_values)
+                sorted_values = self.sort_values[order]
+                rank = np.empty(n, dtype=np.int64)
+                rank[order] = np.arange(n, dtype=np.int64)
+            else:
+                sorted_values = np.empty_like(self.sort_values)
+                sorted_values[rank] = self.sort_values
+            # An empty tree's root leaf starts at n: no rows to label.
+            starts = self.node_start[self.node_leaf & (self.node_start < n)]
+            leaf_start = np.zeros(n, dtype=np.int64)
+            leaf_start[starts] = starts
+            np.maximum.accumulate(leaf_start, out=leaf_start)
+            self._sweep_index = (sorted_values, leaf_start * (n + 1) + rank)
+            self._value_rank = None
+        return self._sweep_index
+
+    def child_index(self) -> Tuple[np.ndarray, int]:
+        """``(child_key, stride)`` with ``child_key[c] = parent(c) * stride + digit(c)``.
+
+        Children are contiguous and digit-ordered and parents are laid
+        out depth-major, so ``child_key`` is strictly increasing: the
+        children of node ``t`` with digits in ``[lo, hi]`` are one
+        ``searchsorted`` window at ``t * stride + lo`` / ``+ hi``.  The
+        stride exceeds every cell count, so windows never cross parents.
+        """
+        if self._child_index is None:
+            stride = int(np.max(self.grid.n_cells)) + 2
+            parent = np.full(self.n_nodes, -1, dtype=np.int64)
+            inner = np.flatnonzero(self.node_n_children)
+            # Child id ranges of successive parents tile ids 1..n_nodes-1.
+            parent[1:] = np.repeat(inner, self.node_n_children[inner])
+            self._child_index = (parent * stride + self.node_digit, stride)
+        return self._child_index
+
+    # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def range_query(
@@ -434,15 +482,15 @@ class FlatEpsilonKdbTree:
     ) -> List[np.ndarray]:
         """Answer ``Q`` range queries in one leaf-directed pass.
 
-        All queries descend the tree level by level as one frontier:
-        at each depth the surviving (query, node) pairs are grouped by
-        node, each group's adjacent children are found with two
-        vectorized ``searchsorted`` calls over the node's digit-ordered
-        child range, and leaf candidates for every query hitting a leaf
-        are band-filtered and distance-checked in one batch.  The result
-        is one ascending int64 index array per query, **byte-identical**
-        to ``Q`` sequential :meth:`EpsilonKdbTree.range_query` calls
-        over the equivalent pointer tree.
+        All queries descend the tree level by level as fragments of the
+        join traversal's frontier (:func:`repro.core.join.flat_probe`):
+        each (query, node) pair moves to the children within one cell of
+        the query's own cell, every (query, leaf) pair becomes one
+        rank-keyed band window, and the candidates are filtered in tiles
+        by the same cascade the joins use.  The result is one ascending
+        int64 index array per query, **byte-identical** to ``Q``
+        sequential :meth:`EpsilonKdbTree.range_query` calls over the
+        equivalent pointer tree.
 
         As with the pointer tree, ``eps`` defaults to the build epsilon
         and may not exceed it (larger radii would need pairs from
@@ -463,114 +511,27 @@ class FlatEpsilonKdbTree:
                 f"query points must have {dims} dimensions, "
                 f"got {queries.shape[1]}"
             )
-        n_q = len(queries)
-        if n_q == 0:
+        if len(queries) == 0:
             return []
-        metric = self.spec.metric
-        band = metric.coordinate_bound(eps)
-        q_sort = np.ascontiguousarray(queries[:, self.sort_dim])
-        hit_queries: List[np.ndarray] = []
-        hit_indices: List[np.ndarray] = []
-        # Leaf candidates route through the same batched work-queue and
-        # filter-cascade backend as the join traversals: queries form the
-        # ``a`` side of a cross-context over the tree's cached column
-        # store, and every (query, row) candidate is filtered one tile at
-        # a time.  The final global sort below makes the per-query result
-        # order independent of how candidates were batched.
-        queue = None
-        if self.spec.cascade_enabled(queries.shape[1]):
-            query_spec = (
-                self.spec
-                if eps == self.spec.epsilon
-                else replace(self.spec, epsilon=eps, persist_path=None)
-            )
-            kernel = build_kernel_context(
-                query_spec,
-                queries,
-                points_b=self.points_flat,
-                grid=self.grid,
-                split_dims=self.split_dims(),
-                sort_dim=self.sort_dim,
-                source=KernelSource(
-                    cols_a=np.ascontiguousarray(queries.T),
-                    cols_b=self._point_cols(),
-                ),
-            )
-            if kernel is not None:
+        # Imported here: the traversal module imports this one.
+        from repro.core.join import flat_probe
 
-                def _emit_hits(left: np.ndarray, right: np.ndarray) -> None:
-                    if len(left):
-                        hit_queries.append(left)
-                        hit_indices.append(self.perm[right])
-
-                queue = LeafBatchQueue(kernel.within_rows, _emit_hits)
-        # Frontier of (query, node) pairs; every surviving node at
-        # iteration k has depth k, so one cell row per depth suffices.
-        frontier_q = np.arange(n_q, dtype=np.int64)
-        frontier_node = np.zeros(n_q, dtype=np.int64)
-        depth = 0
-        while len(frontier_node):
-            at_leaf = self.node_leaf[frontier_node]
-            if at_leaf.any():
-                self._leaf_range_hits(
-                    queries, q_sort,
-                    frontier_q[at_leaf], frontier_node[at_leaf],
-                    band, eps, hit_queries, hit_indices, queue,
-                )
-            frontier_q = frontier_q[~at_leaf]
-            frontier_node = frontier_node[~at_leaf]
-            if not len(frontier_node):
-                break
-            dim = int(self.level_dims[depth])
-            cells = self.grid.cell_of(queries[frontier_q, dim], dim)
-            order = np.argsort(frontier_node, kind="stable")
-            frontier_q = frontier_q[order]
-            frontier_node = frontier_node[order]
-            cells = cells[order]
-            uniq, starts = np.unique(frontier_node, return_index=True)
-            stops = np.append(starts[1:], len(frontier_node))
-            next_q: List[np.ndarray] = []
-            next_node: List[np.ndarray] = []
-            for node, s0, s1 in zip(uniq, starts, stops):
-                first = int(self.node_first_child[node])
-                count = int(self.node_n_children[node])
-                child_digits = self.node_digit[first:first + count]
-                group_cells = cells[s0:s1]
-                lo = np.searchsorted(child_digits, group_cells - 1, side="left")
-                hi = np.searchsorted(child_digits, group_cells + 1, side="right")
-                widths = hi - lo
-                total = int(widths.sum())
-                if not total:
-                    continue
-                next_q.append(np.repeat(frontier_q[s0:s1], widths))
-                bases = np.repeat(first + lo, widths)
-                offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                    np.cumsum(widths) - widths, widths
-                )
-                next_node.append(bases + offsets)
-            if next_q:
-                frontier_q = np.concatenate(next_q)
-                frontier_node = np.concatenate(next_node)
-            else:
-                frontier_q = frontier_q[:0]
-                frontier_node = frontier_node[:0]
-            depth += 1
-        if queue is not None:
-            queue.flush()
-        if not hit_queries:
-            return [np.empty(0, dtype=np.int64) for _ in range(n_q)]
-        all_q = np.concatenate(hit_queries)
-        all_idx = np.concatenate(hit_indices)
+        query_spec = (
+            self.spec
+            if eps == self.spec.epsilon
+            else replace(self.spec, epsilon=eps, persist_path=None)
+        )
+        left, right, _ = flat_probe(self, queries, query_spec)
         # One global (query, index) sort replaces Q per-query sorts; each
         # point lives in exactly one leaf and each leaf is visited at
         # most once per query, so no dedup is needed.
-        order = np.lexsort((all_idx, all_q))
-        all_q = all_q[order]
-        all_idx = all_idx[order]
-        bounds = np.searchsorted(all_q, np.arange(n_q + 1, dtype=np.int64))
+        order = np.lexsort((right, left))
+        left = left[order]
+        right = right[order]
+        bounds = np.searchsorted(left, np.arange(len(queries) + 1, dtype=np.int64))
         return [
-            np.ascontiguousarray(all_idx[bounds[i]:bounds[i + 1]])
-            for i in range(n_q)
+            np.ascontiguousarray(right[bounds[i]:bounds[i + 1]])
+            for i in range(len(queries))
         ]
 
     def _point_cols(self) -> np.ndarray:
@@ -585,59 +546,6 @@ class FlatEpsilonKdbTree:
             cols = np.ascontiguousarray(self.points_flat.T)
             self._point_cols_cache = cols
         return cols
-
-    def _leaf_range_hits(
-        self,
-        queries: np.ndarray,
-        q_sort: np.ndarray,
-        leaf_q: np.ndarray,
-        leaf_node: np.ndarray,
-        band: float,
-        eps: float,
-        hit_queries: List[np.ndarray],
-        hit_indices: List[np.ndarray],
-        queue: Optional[LeafBatchQueue] = None,
-    ) -> None:
-        """Band-filter and distance-check every (query, leaf) pair.
-
-        With a work-queue, candidates are enqueued for tiled cascade
-        filtering (the queue's emit callback appends the hits) instead
-        of being distance-checked per leaf group here.
-        """
-        metric = self.spec.metric
-        order = np.argsort(leaf_node, kind="stable")
-        leaf_q = leaf_q[order]
-        leaf_node = leaf_node[order]
-        uniq, starts = np.unique(leaf_node, return_index=True)
-        stops = np.append(starts[1:], len(leaf_node))
-        for node, s0, s1 in zip(uniq, starts, stops):
-            start = int(self.node_start[node])
-            stop = int(self.node_stop[node])
-            if stop <= start:
-                continue
-            sort_values = self.sort_values[start:stop]
-            group_q = leaf_q[s0:s1]
-            centers = q_sort[group_q]
-            left = np.searchsorted(sort_values, centers - band, side="left")
-            right = np.searchsorted(sort_values, centers + band, side="right")
-            widths = right - left
-            total = int(widths.sum())
-            if not total:
-                continue
-            cand_q = np.repeat(group_q, widths)
-            bases = np.repeat(start + left, widths)
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(widths) - widths, widths
-            )
-            rows = bases + offsets
-            if queue is not None:
-                queue.add(cand_q, rows)
-                continue
-            diffs = np.abs(self.points_flat[rows] - queries[cand_q])
-            keep = metric.within_gap(diffs, eps)
-            if keep.any():
-                hit_queries.append(cand_q[keep])
-                hit_indices.append(self.perm[rows[keep]])
 
     # ------------------------------------------------------------------
     # inspection

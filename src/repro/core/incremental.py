@@ -15,9 +15,9 @@ batch ("Dynamic Enumeration of Similarity Joins", PAPERS.md).
 ``insert(points)`` emits exactly the pairs the batch creates, as three
 disjoint sub-joins through the existing cascade kernels: within the
 batch (self-join), batch vs the live delta (two-set join), and batch vs
-the base via a shared-grid probe of the base tree (the batch tree is
-built on the *base grid*, so :func:`~repro.core.join.flat_cross_join`
-applies unchanged).  ``delete(ids)`` is symmetric and emits the pairs it
+the base via a probe of the base tree (the batch rows descend it as
+fragments of the join frontier, :func:`~repro.core.join.flat_probe`;
+no tree is built over the batch).  ``delete(ids)`` is symmetric and emits the pairs it
 retracts.  When the delta outgrows ``spec.resolved_delta_threshold`` (or
 on an explicit :meth:`~IncrementalJoin.compact`), live rows are merged
 into a fresh base tree through the shared
@@ -50,15 +50,9 @@ import numpy as np
 from repro.core.config import JoinSpec, validate_points
 from repro.core.epsilon_kdb import Grid
 from repro.core.flat_build import FlatEpsilonKdbTree, TreeCache
-from repro.core.join import (
-    _JoinContext,
-    epsilon_kdb_join,
-    epsilon_kdb_self_join,
-    flat_cross_join,
-)
-from repro.core.kernels import build_kernel_context
+from repro.core.join import epsilon_kdb_join, epsilon_kdb_self_join, flat_probe
 from repro.core.resilience import FaultPlan, retry_transient
-from repro.core.result import JoinResult, JoinStats, PairCollector
+from repro.core.result import JoinResult, JoinStats
 from repro.errors import (
     AdmissionError,
     CorruptSnapshotError,
@@ -790,8 +784,17 @@ class IncrementalJoin:
         return UpdateDelta(ids=ids, added=added)
 
     def delete(self, ids: Union[Sequence[int], np.ndarray]) -> UpdateDelta:
-        """Remove points by id; return the pairs that retracts."""
+        """Remove points by id; return the pairs that retracts.
+
+        An empty batch is a no-op and journals nothing (a replayed empty
+        record, from a log written before this rule, still consumes its
+        sequence number).
+        """
         ids = np.asarray(ids, dtype=np.int64).ravel()
+        if not len(ids):
+            if self._replaying:
+                self._update_seq += 1
+            return UpdateDelta()
         if len(np.unique(ids)) != len(ids):
             raise InvalidParameterError("delete() ids contain duplicates")
         side, row = self._locate(ids)
@@ -1124,12 +1127,10 @@ class IncrementalJoin:
         """Join a query batch against *all* base rows (caller filters alive).
 
         Returns aligned ``(query_index, base_row)`` arrays.  The fast
-        path builds the batch's tree on the base grid and reuses the
-        synchronized flat traversal; it is only sound when the batch
-        lies inside the base bounding box (``Grid.cell_of`` clips, which
-        would silently break the adjacent-cell rule), so out-of-box
-        batches — and the parallel engine — take the two-set entry
-        point, which refits a union grid.
+        path sends the batch rows down the base tree as one frontier
+        (:func:`~repro.core.join.flat_probe`, no batch tree); batches
+        that leave the base bounding box — and the parallel engine —
+        take the two-set entry point, which refits a union grid.
         """
         tree_b = self._base_tree
         if tree_b is None or not len(query):
@@ -1149,38 +1150,9 @@ class IncrementalJoin:
                 epsilon_kdb_join(query, self._base_points, self.spec)
             )
             return result.pairs[:, 0], result.pairs[:, 1]
-        spec = self.spec
-        tree_q = FlatEpsilonKdbTree.build(query, spec, grid=grid)
-        shared_levels = max(len(tree_q.digits), len(tree_b.digits))
-        tree_q.ensure_digit_levels(shared_levels)
-        tree_b.ensure_digit_levels(shared_levels)
-        split_dims = tuple(set(tree_q.split_dims()) | set(tree_b.split_dims()))
-        kernel = build_kernel_context(
-            spec,
-            tree_q.points_flat,
-            points_b=tree_b.points_flat,
-            grid=grid,
-            split_dims=split_dims,
-            sort_dim=tree_q.sort_dim,
-        )
-        sink = PairCollector()
-        ctx = _JoinContext(
-            tree_q.points_flat,
-            tree_b.points_flat,
-            grid,
-            spec,
-            sink,
-            self_mode=False,
-            kernel=kernel,
-            perm_a=tree_q.perm,
-            perm_b=tree_b.perm,
-        )
-        flat_cross_join(ctx, tree_q, 0, tree_b, 0)
-        ctx.finish()
-        ctx.stats.build_nodes = tree_q.n_nodes
-        ctx.stats.build_sort_seconds = tree_q.build_sort_seconds
-        self._absorb(JoinResult(stats=ctx.stats))
-        return sink.arrays()
+        left, right, stats = flat_probe(tree_b, query, self.spec)
+        self._absorb(JoinResult(stats=stats))
+        return left, right
 
     def _get_executor(self):
         if self._executor is None:

@@ -7,6 +7,12 @@ joins children ``i-1``, ``i`` and ``i+1`` of the other node.  Leaf-level
 joins are vectorized sort-merge sweeps along one unsplit dimension with a
 full-distance filter.
 
+Flat trees (the default build) run one level-synchronous frontier
+(:class:`_Frontier`) that serves every flat entry point: both joins, the
+parallel stripe ranges, the incremental base probe and batched range
+queries.  The recursive traversal over pointer trees stays as the
+oracle the frontier's counters are tested against.
+
 Self-joins emit each unordered pair once with ``left < right``; two-set
 joins emit ``(r_index, s_index)`` with sides preserved.
 """
@@ -14,7 +20,7 @@ joins emit ``(r_index, s_index)`` with sides preserved.
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from repro.core.epsilon_kdb import EpsilonKdbTree, Grid, InternalNode, LeafNode
 from repro.core.flat_build import FlatEpsilonKdbTree, TreeCache
 from repro.core.kernels import KernelContext, KernelSource, build_kernel_context
 from repro.core.result import JoinResult, JoinStats, PairCollector, PairCounter, PairSink
-from repro.core.sweep import band_pairs_cross, band_pairs_self
+from repro.core.sweep import _expand_windows, band_pairs_cross, band_pairs_self
 from repro.errors import InvalidParameterError
 from repro.obs import trace
 
@@ -244,132 +250,435 @@ def _leaf_vs_internal(
 
 
 # ----------------------------------------------------------------------
-# flat-tree traversal
+# flat-tree frontier traversal
 # ----------------------------------------------------------------------
-# The flat traversal mirrors the pointer traversal call for call (same
-# node-pair visits, same leaf joins, same pruning decisions) over the
-# CSR node table of a FlatEpsilonKdbTree.  Row ids are positions in the
-# tree's leaf-contiguous permuted array, so leaves are zero-copy slices;
+# Flat trees are traversed level-synchronously: every step advances the
+# whole frontier one tree level with whole-array operations.  Three
+# kinds of entry share the frontier, all at the same depth:
+#
+# * self nodes (self-joins): a node joined with itself;
+# * node pairs ``(a, b)``: one node of each side, joined synchronously;
+# * fragments ``(row, node)``: a leaf row of one side (or an external
+#   query row) descending the other side's subtree, kept only under the
+#   children whose cell is adjacent to the row's own cell.
+#
+# The counters equal the recursive pointer traversal's: one node-pair
+# visit per self node, per node pair and per (source, target node)
+# fragment group — a group being one leaf's rows under one node, as
+# the recursion's fragments are — and one leaf join per swept leaf
+# group.  Every (row, leaf) pair at the bottom becomes one band window
+# from two rank-keyed ``searchsorted`` calls (see
+# :meth:`FlatEpsilonKdbTree.sweep_index`) that make exactly the
+# comparisons ``band_pairs_cross`` / ``band_pairs_self`` make, so the
+# candidate set is the recursion's; windows are expanded in row groups
+# of at most one tile and fed through the context's LeafBatchQueue.
+# Row ids are positions in each tree's leaf-contiguous permuted array;
 # ``_JoinContext.perm_a/perm_b`` translate back to caller indices.
-_FlatNode = Union[int, _Flat]
+_EMPTY_ROWS = np.empty(0, dtype=np.int64)
+_ROOT = np.zeros(1, dtype=np.int64)
 
 
-def _flat_leaf(tree: FlatEpsilonKdbTree, node: int) -> _Flat:
-    start = int(tree.node_start[node])
-    stop = int(tree.node_stop[node])
-    return (
-        np.arange(start, stop, dtype=np.int64),
-        tree.sort_values[start:stop],
-    )
+class _TreeSide:
+    """One flat tree as the traversal sees it: nodes, rows, search keys."""
+
+    def __init__(self, tree: FlatEpsilonKdbTree):
+        self.tree = tree
+        self.leaf = tree.node_leaf
+        self.first = tree.node_first_child
+        self.count = tree.node_n_children
+        self.start = tree.node_start
+        self.stop = tree.node_stop
+        self.digit = tree.node_digit
+        self.sorted_values, self.rank_key = tree.sweep_index()
+        self.child_key, self.child_stride = tree.child_index()
+        self.stride = len(tree.perm) + 1
+        # As a fragment source: sweep values, and one group per leaf.
+        self.values = tree.sort_values
+        self.n_groups = self.stride
+
+    def children(
+        self, nodes: np.ndarray, digits: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Child-id windows: all children, or those within one cell of ``digits``."""
+        if digits is None:
+            lo = self.first[nodes]
+            return lo, lo + self.count[nodes]
+        base = nodes * self.child_stride + digits
+        return (
+            np.searchsorted(self.child_key, base - 1, side="left"),
+            np.searchsorted(self.child_key, base + 1, side="right"),
+        )
+
+    def leaf_windows(
+        self, leaves: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat-row window of the rows of each leaf ranked in ``[lo, hi)``."""
+        base = self.start[leaves] * self.stride
+        return (
+            np.searchsorted(self.rank_key, base + lo, side="left"),
+            np.searchsorted(self.rank_key, base + hi, side="left"),
+        )
+
+    def leaf_rows(self, leaves: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(position in leaves, row)`` for every row of every leaf."""
+        return _expand_windows(self.start[leaves], self.stop[leaves])
+
+    # -- as a fragment source ------------------------------------------
+    def digits_at(self, depth: int, rows: np.ndarray) -> np.ndarray:
+        tree = self.tree
+        if depth < len(tree.digits):
+            return tree.digits[depth][rows]
+        # A leaf shallower than the other side's internal node: the
+        # build stopped computing digits at this tree's own depth.
+        dim = int(tree.level_dims[depth])
+        return tree.grid.cell_of(tree.points_flat[rows, dim], dim)
+
+    def groups(self, rows: np.ndarray) -> np.ndarray:
+        """Source group of each row: the first flat row of its leaf."""
+        return self.rank_key[rows] // self.stride
 
 
-def _flat_resolve(tree: FlatEpsilonKdbTree, node: _FlatNode) -> _FlatNode:
-    """Convert leaf node ids to the flat (rows, values) form."""
-    if isinstance(node, tuple):
-        return node
-    if tree.node_leaf[node]:
-        return _flat_leaf(tree, node)
-    return int(node)
+class _QueryRows:
+    """External query rows as a fragment source (each row its own group)."""
+
+    def __init__(self, queries: np.ndarray, tree: FlatEpsilonKdbTree):
+        self.queries = queries
+        self.grid = tree.grid
+        self.level_dims = tree.level_dims
+        self.values = np.ascontiguousarray(queries[:, tree.sort_dim])
+        self.n_groups = len(queries)
+
+    def digits_at(self, depth: int, rows: np.ndarray) -> np.ndarray:
+        dim = int(self.level_dims[depth])
+        return self.grid.cell_of(self.queries[rows, dim], dim)
+
+    def groups(self, rows: np.ndarray) -> np.ndarray:
+        return rows
 
 
-def flat_self_join(ctx: _JoinContext, tree: FlatEpsilonKdbTree, node: int) -> None:
-    resolved = _flat_resolve(tree, node)
-    ctx.stats.node_pairs_visited += 1
-    if isinstance(resolved, tuple):
-        ctx.leaf_self(resolved)
-        return
-    first = int(tree.node_first_child[resolved])
-    count = int(tree.node_n_children[resolved])
-    digits = tree.node_digit
-    for child in range(first, first + count):
-        flat_self_join(ctx, tree, child)
-        if ctx.adjacency_pruning:
-            if child + 1 < first + count and digits[child + 1] == digits[child] + 1:
-                flat_cross_join(ctx, tree, child, tree, child + 1)
-        else:
-            for other in range(child + 1, first + count):
-                flat_cross_join(ctx, tree, child, tree, other)
+class _Level:
+    """The frontier entries of one depth."""
+
+    __slots__ = ("selfs", "pairs_a", "pairs_b", "frags")
+
+    def __init__(self, selfs=(), pairs=((), ()), frags=None):
+        self.selfs: List[np.ndarray] = list(selfs)
+        self.pairs_a: List[np.ndarray] = list(pairs[0])
+        self.pairs_b: List[np.ndarray] = list(pairs[1])
+        # Per orientation: (rows, nodes) chunks; orientation 0 holds
+        # a-side rows under b-side nodes, orientation 1 the reverse.
+        self.frags: List[List[Tuple[np.ndarray, np.ndarray]]] = (
+            [[], []] if frags is None else frags
+        )
+
+    def empty(self) -> bool:
+        return not (
+            self.selfs or self.pairs_a or self.frags[0] or self.frags[1]
+        )
 
 
-def flat_cross_join(
-    ctx: _JoinContext,
-    tree_a: FlatEpsilonKdbTree,
-    a: _FlatNode,
-    tree_b: FlatEpsilonKdbTree,
-    b: _FlatNode,
-) -> None:
-    a = _flat_resolve(tree_a, a)
-    b = _flat_resolve(tree_b, b)
-    ctx.stats.node_pairs_visited += 1
-    a_leaf = isinstance(a, tuple)
-    b_leaf = isinstance(b, tuple)
-    if a_leaf and (not a[0].size):
-        return
-    if b_leaf and (not b[0].size):
-        return
-    if a_leaf and b_leaf:
-        ctx.leaf_cross(a, b)
-    elif not a_leaf and not b_leaf:
-        dim_a = int(tree_a.level_dims[tree_a.node_depth[a]])
-        dim_b = int(tree_b.level_dims[tree_b.node_depth[b]])
-        if dim_a != dim_b:
-            raise InvalidParameterError(
-                "cross-joined internal nodes disagree on split dimension; "
-                "the two trees were not built with a shared grid and order"
-            )
-        a_first = int(tree_a.node_first_child[a])
-        a_count = int(tree_a.node_n_children[a])
-        b_first = int(tree_b.node_first_child[b])
-        b_count = int(tree_b.node_n_children[b])
-        b_digits = tree_b.node_digit[b_first:b_first + b_count]
-        for child_a in range(a_first, a_first + a_count):
-            if ctx.adjacency_pruning:
-                digit = tree_a.node_digit[child_a]
-                lo = int(np.searchsorted(b_digits, digit - 1))
-                hi = int(np.searchsorted(b_digits, digit + 1, side="right"))
-                targets = range(b_first + lo, b_first + hi)
-            else:
-                targets = range(b_first, b_first + b_count)
-            for child_b in targets:
-                flat_cross_join(ctx, tree_a, child_a, tree_b, child_b)
-    elif a_leaf:
-        _flat_leaf_vs_internal(ctx, tree_a, a, tree_b, b, leaf_on_left=True)
-    else:
-        _flat_leaf_vs_internal(ctx, tree_b, b, tree_a, a, leaf_on_left=False)
+def _cat(chunks: List[np.ndarray]) -> np.ndarray:
+    if not chunks:
+        return _EMPTY_ROWS
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _flat_leaf_vs_internal(
-    ctx: _JoinContext,
-    frag_tree: FlatEpsilonKdbTree,
-    flat: _Flat,
-    node_tree: FlatEpsilonKdbTree,
-    internal: int,
-    leaf_on_left: bool,
-) -> None:
-    """Flat analogue of :func:`_leaf_vs_internal`.
+class _Frontier:
+    """Level-synchronous traversal of one join, feeding one work-queue.
 
-    The fragment's cells along the internal node's split level come from
-    the fragment tree's precomputed digit row — code arithmetic instead
-    of a ``cell_of`` recomputation; both trees share the grid, so the
-    digit rows align level for level.
+    ``side_a`` / ``side_b`` are the two trees (the same object for a
+    self-join); ``source_a`` is what descends ``side_b`` in orientation
+    0 — ``side_a`` itself, or external query rows for a probe.
     """
-    rows, values = flat
-    depth = int(node_tree.node_depth[internal])
-    cells = frag_tree.digits[depth][rows]
-    first = int(node_tree.node_first_child[internal])
-    count = int(node_tree.node_n_children[internal])
-    for child in range(first, first + count):
-        if ctx.adjacency_pruning:
-            mask = np.abs(cells - node_tree.node_digit[child]) <= 1
-            if not mask.any():
-                continue
-            fragment: _Flat = (rows[mask], values[mask])
+
+    def __init__(self, ctx: _JoinContext, side_a, side_b, source_a=None):
+        self.ctx = ctx
+        self.stats = ctx.stats
+        self.sides = (side_a, side_b)
+        self.sources = (source_a if source_a is not None else side_a, side_b)
+        # Index each orientation's targets: 0 searches b, 1 searches a.
+        self.targets = (side_b, side_a)
+        self.pruning = ctx.adjacency_pruning
+        self.budget = ctx.queue.tile_rows
+        self._rank_bounds: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None, None]
+
+    def run(self, level: _Level, depth: int) -> None:
+        while not level.empty():
+            nxt = _Level()
+            selfs = _cat(level.selfs)
+            if len(selfs):
+                self._self_nodes(selfs, nxt)
+            pairs_a = _cat(level.pairs_a)
+            if len(pairs_a):
+                self._node_pairs(pairs_a, _cat(level.pairs_b), depth, nxt)
+            for orient in (0, 1):
+                chunks = level.frags[orient]
+                if chunks:
+                    rows = _cat([rows for rows, _ in chunks])
+                    nodes = _cat([nodes for _, nodes in chunks])
+                    self._fragments(orient, rows, nodes, depth, nxt)
+            level = nxt
+            depth += 1
+
+    # ------------------------------------------------------------------
+    def _self_nodes(self, nodes: np.ndarray, nxt: _Level) -> None:
+        side = self.sides[0]
+        self.stats.node_pairs_visited += len(nodes)
+        leaf = side.leaf[nodes]
+        if leaf.any():
+            self._sweep_self(nodes[leaf])
+        inner = nodes[~leaf]
+        if not len(inner):
+            return
+        first = side.first[inner]
+        stop = first + side.count[inner]
+        parent, children = _expand_windows(first, stop)
+        nxt.selfs.append(children)
+        # Sibling crosses: adjacent cells only, or every later sibling.
+        sibling_stop = stop[parent]
+        if self.pruning:
+            left = children[children + 1 < sibling_stop]
+            left = left[side.digit[left + 1] == side.digit[left] + 1]
+            right = left + 1
         else:
-            fragment = flat
-        if leaf_on_left:
-            flat_cross_join(ctx, frag_tree, fragment, node_tree, child)
-        else:
-            flat_cross_join(ctx, node_tree, child, frag_tree, fragment)
+            pos, right = _expand_windows(children + 1, sibling_stop)
+            left = children[pos]
+        nxt.pairs_a.append(left)
+        nxt.pairs_b.append(right)
+
+    def _node_pairs(
+        self, a: np.ndarray, b: np.ndarray, depth: int, nxt: _Level
+    ) -> None:
+        side_a, side_b = self.sides
+        self.stats.node_pairs_visited += len(a)
+        leaf_a = side_a.leaf[a]
+        leaf_b = side_b.leaf[b]
+        both = leaf_a & leaf_b
+        if both.any():
+            self.stats.leaf_joins += int(np.count_nonzero(both))
+            pos, rows = side_a.leaf_rows(a[both])
+            self._sweep(0, rows, b[both][pos])
+        inner = ~(leaf_a | leaf_b)
+        if inner.any():
+            tree_a, tree_b = side_a.tree, side_b.tree
+            if int(tree_a.level_dims[depth]) != int(tree_b.level_dims[depth]):
+                raise InvalidParameterError(
+                    "cross-joined internal nodes disagree on split dimension; "
+                    "the two trees were not built with a shared grid and order"
+                )
+            inner_a = a[inner]
+            pos, child_a = _expand_windows(
+                side_a.first[inner_a], side_a.first[inner_a] + side_a.count[inner_a]
+            )
+            lo, hi = side_b.children(
+                b[inner][pos], side_a.digit[child_a] if self.pruning else None
+            )
+            pos, child_b = _expand_windows(lo, hi)
+            nxt.pairs_a.append(child_a[pos])
+            nxt.pairs_b.append(child_b)
+        # A leaf against an internal node: the leaf's rows descend.
+        for orient, mask, leaves, nodes in (
+            (0, leaf_a & ~leaf_b, a, b),
+            (1, leaf_b & ~leaf_a, b, a),
+        ):
+            if mask.any():
+                pos, rows = self.sources[orient].leaf_rows(leaves[mask])
+                nxt.frags[orient].append(
+                    self._descend(orient, rows, nodes[mask][pos], depth)
+                )
+
+    def _fragments(
+        self, orient: int, rows: np.ndarray, nodes: np.ndarray, depth: int,
+        nxt: _Level,
+    ) -> None:
+        source = self.sources[orient]
+        target = self.targets[orient]
+        groups = np.unique(nodes * source.n_groups + source.groups(rows))
+        self.stats.node_pairs_visited += len(groups)
+        self.stats.leaf_joins += int(
+            np.count_nonzero(target.leaf[groups // source.n_groups])
+        )
+        leaf = target.leaf[nodes]
+        if leaf.any():
+            self._sweep(orient, rows[leaf], nodes[leaf])
+        if not leaf.all():
+            inner = ~leaf
+            nxt.frags[orient].append(
+                self._descend(orient, rows[inner], nodes[inner], depth)
+            )
+
+    def _descend(
+        self, orient: int, rows: np.ndarray, nodes: np.ndarray, depth: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fragment rows under internal ``nodes`` -> (row, child) entries."""
+        digits = (
+            self.sources[orient].digits_at(depth, rows) if self.pruning else None
+        )
+        lo, hi = self.targets[orient].children(nodes, digits)
+        pos, children = _expand_windows(lo, hi)
+        return rows[pos], children
+
+    # ------------------------------------------------------------------
+    def _bounds(self, orient: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per source row: the ``[lo, hi)`` target ranks its band covers.
+
+        Orientation 0 makes ``band_pairs_cross``'s comparisons with the
+        source on the left (``v - band`` left, ``v + band`` right).  In
+        orientation 1 the source is on the right: a target row ``a``
+        qualifies when ``v_a - band <= v <= v_a + band``, which over
+        the shifted (still rank-ordered) target values is again one
+        rank range.  Computed once per source row, not per leaf.
+        """
+        bounds = self._rank_bounds[orient]
+        if bounds is None:
+            values = self.sources[orient].values
+            ranked = self.targets[orient].sorted_values
+            band = self.ctx.band
+            if orient == 0:
+                lo = np.searchsorted(ranked, values - band, side="left")
+                hi = np.searchsorted(ranked, values + band, side="right")
+            else:
+                lo = np.searchsorted(ranked + band, values, side="left")
+                hi = np.searchsorted(ranked - band, values, side="right")
+            bounds = self._rank_bounds[orient] = (lo, hi)
+        return bounds
+
+    def _sweep_self(self, leaves: np.ndarray) -> None:
+        """Band-sweep each leaf against itself (``band_pairs_self``)."""
+        side = self.sides[0]
+        self.stats.leaf_joins += len(leaves)
+        pos, rows = side.leaf_rows(leaves)
+        hi = self._bounds(0)[1][rows]
+        end = np.searchsorted(
+            side.rank_key, side.start[leaves][pos] * side.stride + hi, side="left"
+        )
+        self._enqueue(rows, rows + 1, end, swap=False)
+
+    def _sweep(self, orient: int, rows: np.ndarray, leaves: np.ndarray) -> None:
+        """Band-sweep fragment rows against the target leaves."""
+        lo, hi = self._bounds(orient)
+        start, end = self.targets[orient].leaf_windows(leaves, lo[rows], hi[rows])
+        self._enqueue(rows, start, end, swap=orient == 1)
+
+    def _enqueue(
+        self, rows: np.ndarray, start: np.ndarray, end: np.ndarray, swap: bool
+    ) -> None:
+        """Expand windows into the work-queue, at most a tile at a time.
+
+        Row groups are cut where their candidate total reaches the
+        queue's tile size (a single wider window goes alone), so a
+        join's candidates are never materialized at once.  Unlike
+        ``sweep._iter_expand`` it repeats the source rows directly
+        instead of gathering them through a position array: one pass
+        fewer per candidate, about a fifth of the traversal's time.
+        """
+        counts = end - start
+        stops = np.cumsum(counts)
+        if not len(stops) or not stops[-1]:
+            return
+        self.stats.distance_computations += int(stops[-1])
+        queue = self.ctx.queue
+        lo = 0
+        while lo < len(counts):
+            done = int(stops[lo] - counts[lo])
+            hi = max(
+                int(np.searchsorted(stops, done + self.budget, side="right")), lo + 1
+            )
+            width = counts[lo:hi]
+            total = int(stops[hi - 1]) - done
+            if total:
+                # Candidate k of row i sits at stops[i] - width[i] - done + k.
+                offsets = start[lo:hi] - (stops[lo:hi] - width - done)
+                candidates = np.arange(total, dtype=np.int64) + np.repeat(
+                    offsets, width
+                )
+                sources = np.repeat(rows[lo:hi], width)
+                if swap:
+                    queue.add(candidates, sources)
+                else:
+                    queue.add(sources, candidates)
+            lo = hi
+
+
+def _flat_join(
+    tree_a: FlatEpsilonKdbTree,
+    tree_b: FlatEpsilonKdbTree,
+    spec: JoinSpec,
+    sink: PairSink,
+    kernel: Optional[KernelContext],
+    level: _Level,
+    depth: int,
+) -> JoinStats:
+    """Run the frontier from ``level``; ``tree_a is tree_b`` for a self-join."""
+    self_mode = tree_a is tree_b
+    ctx = _JoinContext(
+        tree_a.points_flat,
+        tree_b.points_flat,
+        tree_a.grid,
+        spec,
+        sink,
+        self_mode=self_mode,
+        kernel=kernel,
+        perm_a=tree_a.perm,
+        perm_b=tree_b.perm,
+    )
+    side_a = _TreeSide(tree_a)
+    side_b = side_a if self_mode else _TreeSide(tree_b)
+    _Frontier(ctx, side_a, side_b).run(level, depth)
+    ctx.finish()
+    return ctx.stats
+
+
+def flat_probe(
+    tree: FlatEpsilonKdbTree, queries: np.ndarray, spec: JoinSpec
+) -> Tuple[np.ndarray, np.ndarray, JoinStats]:
+    """Join external query rows against a flat tree.
+
+    Returns aligned ``(query_index, caller_row)`` arrays — ``caller_row``
+    indexes the points the tree was built over — plus the traversal
+    counters.  Each query row descends the tree as its own fragment
+    under the adjacent-cell rule on its own cells (``Grid.cell_of``
+    clips, so a query outside the tree's box is still exact: clipping
+    only widens its candidate set).  This serves both
+    :meth:`FlatEpsilonKdbTree.batch_range_query` (``spec`` carries the
+    query radius) and the incremental session's base probe.
+    """
+    sink = PairCollector()
+    kernel = None
+    if spec.cascade_enabled(queries.shape[1]):
+        # The tree's cached column store backs the b side, so repeated
+        # probes of one tree pay its transpose once.
+        kernel = build_kernel_context(
+            spec,
+            queries,
+            points_b=tree.points_flat,
+            grid=tree.grid,
+            split_dims=tree.split_dims(),
+            sort_dim=tree.sort_dim,
+            source=KernelSource(
+                cols_a=np.ascontiguousarray(queries.T), cols_b=tree._point_cols()
+            ),
+        )
+    ctx = _JoinContext(
+        queries,
+        tree.points_flat,
+        tree.grid,
+        spec,
+        sink,
+        self_mode=False,
+        kernel=kernel,
+        perm_b=tree.perm,
+    )
+    # Probes always apply the adjacent-cell rule; only the join
+    # ablation turns it off.
+    ctx.adjacency_pruning = True
+    side = _TreeSide(tree)
+    rows = np.arange(len(queries), dtype=np.int64)
+    level = _Level(frags=[[(rows, np.zeros(len(queries), dtype=np.int64))], []])
+    _Frontier(ctx, None, side, source_a=_QueryRows(queries, tree)).run(level, 0)
+    ctx.finish()
+    left, right = sink.arrays()
+    return left, right, ctx.stats
 
 
 def _flat_self_join_range(
@@ -390,30 +699,17 @@ def _flat_self_join_range(
     parallel merge sees no duplicates.  Two children whose cells are not
     adjacent cannot hold a qualifying pair (the gap between their cells
     exceeds the per-coordinate bound), so skipping non-adjacent crosses
-    is exact even with ``adjacency_pruning`` off.
+    is exact even with ``adjacency_pruning`` off.  The range seeds the
+    frontier at depth 1.
     """
-    ctx = _JoinContext(
-        tree.points_flat,
-        tree.points_flat,
-        tree.grid,
-        spec,
-        sink,
-        self_mode=True,
-        kernel=kernel,
-        perm_a=tree.perm,
-        perm_b=tree.perm,
-    )
     first = int(tree.node_first_child[0])
     count = int(tree.node_n_children[0])
-    digits = tree.node_digit
-    for child in range(first + child_lo, first + child_hi):
-        flat_self_join(ctx, tree, child)
-        if child + 1 < first + count and (
-            not ctx.adjacency_pruning or digits[child + 1] == digits[child] + 1
-        ):
-            flat_cross_join(ctx, tree, child, tree, child + 1)
-    ctx.finish()
-    return ctx.stats
+    children = np.arange(first + child_lo, first + child_hi, dtype=np.int64)
+    left = children[children + 1 < first + count]
+    if spec.adjacency_pruning:
+        left = left[tree.node_digit[left + 1] == tree.node_digit[left] + 1]
+    level = _Level(selfs=[children], pairs=([left], [left + 1]))
+    return _flat_join(tree, tree, spec, sink, kernel, level, 1)
 
 
 def _flat_cross_join_range(
@@ -433,45 +729,30 @@ def _flat_cross_join_range(
     axis partition the adjacent pairs exactly.  Non-adjacent cells
     cannot hold qualifying pairs (see :func:`_flat_self_join_range`).
     """
-    ctx = _JoinContext(
-        tree_r.points_flat,
-        tree_s.points_flat,
-        tree_r.grid,
-        spec,
-        sink,
-        self_mode=False,
-        kernel=kernel,
-        perm_a=tree_r.perm,
-        perm_b=tree_s.perm,
-    )
-    r_first = int(tree_r.node_first_child[0])
-    r_count = int(tree_r.node_n_children[0])
-    s_first = int(tree_s.node_first_child[0])
-    s_count = int(tree_s.node_n_children[0])
-    r_digits = tree_r.node_digit[r_first:r_first + r_count]
-    s_digits = tree_s.node_digit[s_first:s_first + s_count]
 
-    def child_at(digits: np.ndarray, first: int, cell: int) -> Optional[int]:
-        pos = int(np.searchsorted(digits, cell))
-        if pos < len(digits) and digits[pos] == cell:
-            return first + pos
-        return None
+    def root_children(tree: FlatEpsilonKdbTree) -> Tuple[np.ndarray, int]:
+        first = int(tree.node_first_child[0])
+        return tree.node_digit[first:first + int(tree.node_n_children[0])], first
 
-    cells = np.union1d(r_digits, s_digits)
-    for cell in cells[(cells >= cell_lo) & (cells < cell_hi)]:
-        cell = int(cell)
-        r_here = child_at(r_digits, r_first, cell)
-        s_here = child_at(s_digits, s_first, cell)
-        r_next = child_at(r_digits, r_first, cell + 1)
-        s_next = child_at(s_digits, s_first, cell + 1)
-        if r_here is not None and s_here is not None:
-            flat_cross_join(ctx, tree_r, r_here, tree_s, s_here)
-        if r_here is not None and s_next is not None:
-            flat_cross_join(ctx, tree_r, r_here, tree_s, s_next)
-        if r_next is not None and s_here is not None:
-            flat_cross_join(ctx, tree_r, r_next, tree_s, s_here)
-    ctx.finish()
-    return ctx.stats
+    def child_at(tree: FlatEpsilonKdbTree, cells: np.ndarray) -> np.ndarray:
+        """Root child id holding each cell, or -1."""
+        digits, first = root_children(tree)
+        pos = np.minimum(np.searchsorted(digits, cells), max(len(digits) - 1, 0))
+        found = digits[pos] == cells if len(digits) else np.zeros(len(cells), bool)
+        return np.where(found, first + pos, -1)
+
+    cells = np.union1d(root_children(tree_r)[0], root_children(tree_s)[0])
+    cells = cells[(cells >= cell_lo) & (cells < cell_hi)]
+    r_here, s_here = child_at(tree_r, cells), child_at(tree_s, cells)
+    r_next, s_next = child_at(tree_r, cells + 1), child_at(tree_s, cells + 1)
+    pairs_a: List[np.ndarray] = []
+    pairs_b: List[np.ndarray] = []
+    for r, s in ((r_here, s_here), (r_here, s_next), (r_next, s_here)):
+        both = (r >= 0) & (s >= 0)
+        pairs_a.append(r[both])
+        pairs_b.append(s[both])
+    level = _Level(pairs=(pairs_a, pairs_b))
+    return _flat_join(tree_r, tree_s, spec, sink, kernel, level, 1)
 
 
 def _check_tree_reuse(spec: JoinSpec, tree_epsilon: float, cell_width: float) -> None:
@@ -591,26 +872,16 @@ def epsilon_kdb_self_join(
             source=_flat_kernel_source(flat_tree, kernel_source),
         )
         with trace.span("self-join-traversal", points=len(points)) as join_span:
-            ctx = _JoinContext(
-                flat_tree.points_flat,
-                flat_tree.points_flat,
-                flat_tree.grid,
-                spec,
-                sink,
-                self_mode=True,
-                kernel=kernel,
-                perm_a=flat_tree.perm,
-                perm_b=flat_tree.perm,
+            stats = _flat_join(
+                flat_tree, flat_tree, spec, sink, kernel, _Level(selfs=[_ROOT]), 0
             )
-            flat_self_join(ctx, flat_tree, 0)
-            ctx.finish()
             join_span.set_attribute("pairs", sink.count)
-            join_span.set_attribute("leaf_joins", ctx.stats.leaf_joins)
-        ctx.stats.build_nodes = flat_tree.n_nodes
-        ctx.stats.build_sort_seconds = (
+            join_span.set_attribute("leaf_joins", stats.leaf_joins)
+        stats.build_nodes = flat_tree.n_nodes
+        stats.build_sort_seconds = (
             flat_tree.build_sort_seconds if built_here else 0.0
         )
-        ctx.stats.structure_cache_hits = 1 if cache_hit else 0
+        stats.structure_cache_hits = 1 if cache_hit else 0
     else:
         kernel = build_kernel_context(
             spec,
@@ -628,7 +899,8 @@ def epsilon_kdb_self_join(
             ctx.finish()
             join_span.set_attribute("pairs", sink.count)
             join_span.set_attribute("leaf_joins", ctx.stats.leaf_joins)
-    result.stats = ctx.stats
+        stats = ctx.stats
+    result.stats = stats
     result.stats.pairs_emitted = sink.count
     result.build_seconds = build_seconds
     result.join_seconds = join_span.duration
@@ -674,11 +946,6 @@ def epsilon_kdb_join(
         if flat:
             tree_r = FlatEpsilonKdbTree.build(points_r, spec, grid=grid)
             tree_s = FlatEpsilonKdbTree.build(points_s, spec, grid=grid)
-            # A leaf in one tree reads its digits at the other tree's
-            # internal depths, which may exceed its own depth.
-            shared_levels = max(len(tree_r.digits), len(tree_s.digits))
-            tree_r.ensure_digit_levels(shared_levels)
-            tree_s.ensure_digit_levels(shared_levels)
         else:
             tree_r = EpsilonKdbTree.build(points_r, spec, grid=grid)
             tree_s = EpsilonKdbTree.build(points_s, spec, grid=grid)
@@ -705,27 +972,19 @@ def epsilon_kdb_join(
         )
     with trace.span("two-set-traversal") as join_span:
         if flat:
-            ctx = _JoinContext(
-                tree_r.points_flat,
-                tree_s.points_flat,
-                grid,
-                spec,
-                sink,
-                self_mode=False,
-                kernel=kernel,
-                perm_a=tree_r.perm,
-                perm_b=tree_s.perm,
+            stats = _flat_join(
+                tree_r, tree_s, spec, sink, kernel, _Level(pairs=([_ROOT], [_ROOT])), 0
             )
-            flat_cross_join(ctx, tree_r, 0, tree_s, 0)
         else:
             ctx = _JoinContext(
                 points_r, points_s, grid, spec, sink, self_mode=False, kernel=kernel
             )
             _cross_join(ctx, tree_r.root, tree_s.root)
-        ctx.finish()
+            ctx.finish()
+            stats = ctx.stats
         join_span.set_attribute("pairs", sink.count)
-        join_span.set_attribute("leaf_joins", ctx.stats.leaf_joins)
-    result.stats = ctx.stats
+        join_span.set_attribute("leaf_joins", stats.leaf_joins)
+    result.stats = stats
     if flat:
         result.stats.build_nodes = tree_r.n_nodes + tree_s.n_nodes
         result.stats.build_sort_seconds = (

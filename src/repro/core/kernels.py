@@ -42,12 +42,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends import (
-    KernelBackend,
-    gather_dims,
-    gather_rows,
-    resolve_kernel_backend,
-)
+from repro.core.backends import KernelBackend, gather_rows, resolve_kernel_backend
 from repro.core.config import JoinSpec
 from repro.core.result import JoinStats
 from repro.errors import ConfigError, InvalidParameterError
@@ -300,9 +295,8 @@ class KernelContext:
             stats.coordinates_touched += diff.size
         return mask
 
-    # Gather helpers live in :mod:`repro.core.backends` now; the
-    # staticmethod aliases keep the historical ``KernelContext`` API.
-    _gather = staticmethod(gather_dims)
+    # The row gather lives in :mod:`repro.core.backends`; the alias
+    # keeps the historical ``KernelContext`` API.
     _gather_rows = staticmethod(gather_rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -711,11 +711,6 @@ class ParallelJoinExecutor:
             grid = Grid.fit_union(points_r, points_s, self.spec.band_width)
             tree_r = FlatEpsilonKdbTree.build(points_r, self.spec, grid=grid)
             tree_s = FlatEpsilonKdbTree.build(points_s, self.spec, grid=grid)
-            # Each tree's digits must cover the other tree's depths
-            # before the digit matrices are shipped to the workers.
-            shared_levels = max(len(tree_r.digits), len(tree_s.digits))
-            tree_r.ensure_digit_levels(shared_levels)
-            tree_s.ensure_digit_levels(shared_levels)
 
         def stamp(result: JoinResult) -> JoinResult:
             result.stats.build_nodes = tree_r.n_nodes + tree_s.n_nodes

@@ -65,6 +65,17 @@ class Metric:
         """
         raise NotImplementedError
 
+    def accumulate_abs_column(
+        self, acc: np.ndarray, diff: np.ndarray, dim: int
+    ) -> np.ndarray:
+        """Fold one ``(m,)`` column of ``|x - y|`` (dimension ``dim``) into ``acc``.
+
+        The single-column case of :meth:`accumulate_abs_diff`, for the
+        column-at-a-time cascade.  Implementations may update ``acc``
+        and ``diff`` in place; callers pass arrays they own.
+        """
+        return self.accumulate_abs_diff(acc, diff[:, None], (dim,))
+
     def key(self, eps: float) -> float:
         """Map a distance threshold into the reduced key space."""
         raise NotImplementedError
@@ -167,6 +178,11 @@ class Metric:
         return f"<Metric {self.name}>"
 
 
+def _in_place_ok(acc: np.ndarray, diff: np.ndarray) -> bool:
+    """Whether a column can fold into ``acc`` in place without a cast."""
+    return acc.dtype == diff.dtype and np.issubdtype(diff.dtype, np.floating)
+
+
 class LpMetric(Metric):
     """Minkowski metric of order ``p`` for finite ``p >= 1``.
 
@@ -198,6 +214,18 @@ class LpMetric(Metric):
     ) -> np.ndarray:
         return acc + self._reduce_abs_diff(diff_block)
 
+    def accumulate_abs_column(
+        self, acc: np.ndarray, diff: np.ndarray, dim: int
+    ) -> np.ndarray:
+        if not _in_place_ok(acc, diff):
+            return super().accumulate_abs_column(acc, diff, dim)
+        if self.p == 2.0:
+            np.multiply(diff, diff, out=diff)
+        elif self.p != 1.0:
+            np.power(diff, self.p, out=diff)
+        acc += diff
+        return acc
+
     def key(self, eps: float) -> float:
         return float(eps) ** self.p
 
@@ -218,6 +246,13 @@ class ChebyshevMetric(Metric):
         self, acc: np.ndarray, diff_block: np.ndarray, dims: Sequence[int]
     ) -> np.ndarray:
         return np.maximum(acc, diff_block.max(axis=-1))
+
+    def accumulate_abs_column(
+        self, acc: np.ndarray, diff: np.ndarray, dim: int
+    ) -> np.ndarray:
+        if not _in_place_ok(acc, diff):
+            return super().accumulate_abs_column(acc, diff, dim)
+        return np.maximum(acc, diff, out=acc)
 
     def key(self, eps: float) -> float:
         return float(eps)
@@ -298,6 +333,21 @@ class WeightedLpMetric(Metric):
         if self.p == 2.0:
             return acc + (weights * np.square(diff_block)).sum(axis=-1)
         return acc + (weights * np.power(diff_block, self.p)).sum(axis=-1)
+
+    def accumulate_abs_column(
+        self, acc: np.ndarray, diff: np.ndarray, dim: int
+    ) -> np.ndarray:
+        if not _in_place_ok(acc, diff):
+            return super().accumulate_abs_column(acc, diff, dim)
+        weight = self._weights_as(diff.dtype)[dim]
+        if self.p == np.inf:
+            return np.maximum(acc, np.multiply(diff, weight, out=diff), out=acc)
+        if self.p == 2.0:
+            np.multiply(diff, diff, out=diff)
+        else:
+            np.power(diff, self.p, out=diff)
+        acc += np.multiply(diff, weight, out=diff)
+        return acc
 
     def key(self, eps: float) -> float:
         if self.p == np.inf:

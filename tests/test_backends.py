@@ -172,6 +172,24 @@ class TestLeafBatchQueue:
         queue.flush()  # idempotent on empty buffer
         assert len(out) == 1
 
+    def test_buffers_grow_on_demand_up_to_one_tile(self):
+        calls = []
+        out = []
+        queue = LeafBatchQueue(
+            lambda a, b: calls.append(len(a)) or np.ones(len(a), dtype=bool),
+            lambda a, b: out.append(a),
+            tile_rows=1000,
+        )
+        queue.add(np.arange(3), np.arange(3))
+        assert len(queue._buf_a) < 1000  # a small probe allocates no tile
+        queue.add(np.arange(2500), np.arange(2500))
+        queue.flush()
+        assert calls == [1000, 1000, 503]
+        assert len(queue._buf_a) == 1000
+        np.testing.assert_array_equal(
+            np.concatenate(out), np.concatenate([np.arange(3), np.arange(2500)])
+        )
+
     def test_emitted_arrays_do_not_alias_tile_buffers(self):
         out = []
         queue = LeafBatchQueue(

@@ -23,6 +23,7 @@ from repro.core.parallel import ParallelJoinExecutor
 from repro.core.resilience import FaultPlan
 from repro.core.result import JoinStats
 from repro.errors import InvalidParameterError
+from repro.metrics import WeightedLpMetric
 from repro.obs import MetricsRegistry
 
 
@@ -33,6 +34,24 @@ def _spec(build, **kwargs):
 
 def _pair_bytes(result):
     return result.pairs.tobytes()
+
+
+def _counters(result):
+    stats = result.stats
+    return (
+        stats.node_pairs_visited,
+        stats.leaf_joins,
+        stats.distance_computations,
+        stats.kernel_blocks,
+    )
+
+
+_COUNTER_METRICS = {
+    "l1": "l1",
+    "l2": "l2",
+    "linf": "linf",
+    "weighted": WeightedLpMetric(2, np.linspace(0.5, 2.0, 10)),
+}
 
 
 # ----------------------------------------------------------------------
@@ -102,6 +121,33 @@ class TestLeafPartition:
         result_b = epsilon_kdb_self_join(small_uniform, spec, tree=clone)
         assert _pair_bytes(result_a) == _pair_bytes(result_b)
 
+    def test_sweep_index_for_shipped_tree(self):
+        """A shipped tree derives its rank key on first use; like the
+        one the build takes from its radix sort, it ranks every row by
+        value and the join over it is the same, ties included (tied
+        rows in different leaves may rank in either order)."""
+        points = np.round(np.random.default_rng(12).random((800, 4)) * 10) / 10
+        spec = JoinSpec(epsilon=0.15, leaf_size=16)
+        tree = FlatEpsilonKdbTree.build(points, spec)
+        clone = FlatEpsilonKdbTree.from_arrays(
+            tree.points_flat,
+            tree.perm,
+            tree.digits,
+            tree.packed_nodes(),
+            spec,
+            tree.grid,
+        )
+        stride = len(points) + 1
+        for shipped in (tree, clone):
+            values, key = shipped.sweep_index()
+            assert np.all(np.diff(key) > 0)
+            assert np.array_equal(values, np.sort(tree.sort_values))
+            assert np.array_equal(values[key % stride], tree.sort_values)
+        built = epsilon_kdb_self_join(points, spec, tree=tree)
+        loaded = epsilon_kdb_self_join(points, spec, tree=clone)
+        assert _pair_bytes(loaded) == _pair_bytes(built)
+        assert _counters(loaded) == _counters(built)
+
 
 # ----------------------------------------------------------------------
 # byte-identical output across engines
@@ -153,14 +199,53 @@ class TestSerialEquivalence:
         pointer = epsilon_kdb_self_join(small_uniform, _spec("pointer"))
         assert pointer.stats.build_nodes == 0
 
-    def test_traversal_stats_match_pointer(self, small_clusters):
-        flat = epsilon_kdb_self_join(small_clusters, _spec("flat"))
-        pointer = epsilon_kdb_self_join(small_clusters, _spec("pointer"))
-        assert flat.stats.node_pairs_visited == pointer.stats.node_pairs_visited
-        assert flat.stats.leaf_joins == pointer.stats.leaf_joins
-        assert (
-            flat.stats.distance_computations == pointer.stats.distance_computations
+    @pytest.mark.parametrize("leaf_size", [None, 4], ids=["leaf-default", "deep"])
+    @pytest.mark.parametrize("metric", sorted(_COUNTER_METRICS))
+    @pytest.mark.parametrize("pruning", [True, False], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize("kind", ["self", "two-set"])
+    def test_traversal_stats_match_pointer(
+        self, small_clusters, kind, pruning, metric, leaf_size
+    ):
+        """The frontier's counters equal the recursive pointer
+        traversal's at every entry point, and so do the pairs."""
+        # Unpruned pointer traversals visit every child pair: keep small.
+        points = small_clusters if pruning else small_clusters[:300]
+        kwargs = dict(metric=_COUNTER_METRICS[metric], adjacency_pruning=pruning)
+        if leaf_size is not None:
+            kwargs["leaf_size"] = leaf_size
+        if kind == "self":
+            flat = epsilon_kdb_self_join(points, _spec("flat", **kwargs))
+            pointer = epsilon_kdb_self_join(points, _spec("pointer", **kwargs))
+        else:
+            r, s = points[::2], points[1::3] + 0.01
+            flat = epsilon_kdb_join(r, s, _spec("flat", **kwargs))
+            pointer = epsilon_kdb_join(r, s, _spec("pointer", **kwargs))
+        assert _counters(flat) == _counters(pointer)
+        assert _pair_bytes(flat) == _pair_bytes(pointer)
+
+    @pytest.mark.parametrize("kind", ["self", "two-set"])
+    def test_stripe_range_stats_sum_to_serial(self, small_clusters, kind):
+        """In-process parallel stripe ranges partition the serial
+        traversal: their counters sum to the serial join's, less the
+        one root visit no range makes."""
+        executor = ParallelJoinExecutor(
+            _spec("flat", n_workers=3), use_processes=False, serial_threshold=0
         )
+        if kind == "self":
+            serial = epsilon_kdb_self_join(small_clusters, _spec("flat"))
+            parallel = executor.self_join(small_clusters)
+        else:
+            r, s = small_clusters[::2], small_clusters[1::3] + 0.01
+            serial = epsilon_kdb_join(r, s, _spec("flat"))
+            parallel = executor.join(r, s)
+        assert parallel.stats.stripes > 1
+        assert parallel.stats.node_pairs_visited + 1 == serial.stats.node_pairs_visited
+        assert parallel.stats.leaf_joins == serial.stats.leaf_joins
+        assert (
+            parallel.stats.distance_computations
+            == serial.stats.distance_computations
+        )
+        assert _pair_bytes(parallel) == _pair_bytes(serial)
 
     def test_empty_and_tiny_inputs(self):
         spec = _spec("flat")

@@ -176,6 +176,19 @@ class TestIncrementalBasics:
         harness.insert(np.array([[0.5, 0.5, 0.49]]))
         harness.check("tiny after compact")
 
+    def test_empty_delete_is_a_noop(self):
+        session = IncrementalJoin(JoinSpec(**self.SPEC))
+        delta = session.delete([])  # fresh session: no sketch, no dims yet
+        assert len(delta.ids) == 0 and len(delta.retracted) == 0
+        assert session.last_update_seq == 0
+        assert session.stats.updates_applied == 0
+        harness = SessionHarness(JoinSpec(**self.SPEC))
+        harness.session = session
+        harness.insert(np.random.default_rng(5).random((20, 2)))
+        assert len(session.delete(np.empty(0, dtype=np.int64)).retracted) == 0
+        assert session.last_update_seq == 1
+        harness.check("after empty deletes")
+
     def test_delete_unknown_id_raises(self):
         harness = SessionHarness(JoinSpec(**self.SPEC))
         harness.insert(np.random.default_rng(6).random((5, 2)))

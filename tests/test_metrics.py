@@ -140,6 +140,19 @@ class TestDtypePropagation:
             out = metric.accumulate_abs_diff(acc, diff, (1, 3))
             assert out.dtype == dtype, metric.name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_accumulate_column_matches_block(self, dtype):
+        """The column-at-a-time fold gives the one-column block fold's
+        values bit for bit, in the block fold's dtype."""
+        rng = np.random.default_rng(9)
+        diff = np.abs(rng.normal(size=20) * 4).astype(dtype)
+        acc = np.abs(rng.normal(size=20) * 4).astype(dtype)
+        for metric in self.METRICS:
+            expected = metric.accumulate_abs_diff(acc, diff[:, None], (3,))
+            got = metric.accumulate_abs_column(acc.copy(), diff.copy(), 3)
+            assert got.dtype == expected.dtype, metric.name
+            assert got.tobytes() == expected.tobytes(), metric.name
+
     def test_float32_rows_match_float64(self):
         rng = np.random.default_rng(7)
         points64 = rng.random((50, 4))

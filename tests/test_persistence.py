@@ -311,6 +311,35 @@ class TestSessionPersistence:
         assert delta.ids.tolist() == [120, 121, 122]
         reopened.close()
 
+    def test_empty_delete_journals_nothing(self, tmp_path):
+        path = _session_dir(tmp_path)
+        session = IncrementalJoin(JoinSpec(epsilon=0.3, persist_path=path))
+        session.delete([])
+        session.close()
+        reopened = IncrementalJoin.open(path)
+        assert reopened.last_update_seq == 0
+        assert reopened.stats.wal_records_replayed == 0
+        delta = reopened.insert(np.random.default_rng(3).random((10, 3)))
+        assert delta.ids.tolist() == list(range(10))
+        reopened.close()
+
+    def test_replayed_empty_delete_record_consumes_its_seq(self, tmp_path):
+        path = _session_dir(tmp_path)
+        rng = np.random.default_rng(4)
+        session = IncrementalJoin(JoinSpec(epsilon=0.3, persist_path=path))
+        session.insert(rng.random((15, 3)))
+        # A log written before empty deletes became no-ops holds one.
+        session._wal.append_delete(2, np.empty(0, dtype=np.int64))
+        session._update_seq = 2
+        session.insert(rng.random((15, 3)))
+        expected = session.current_pairs()
+        session.close()
+        reopened = IncrementalJoin.open(path)
+        assert reopened.stats.wal_records_replayed == 3
+        assert reopened.last_update_seq == 3
+        assert_same_pairs(reopened.current_pairs(), expected, "replayed empty delete")
+        reopened.close()
+
     def test_recovery_stats_populated(self, tmp_path):
         path = _session_dir(tmp_path)
         spec = JoinSpec(epsilon=0.3, persist_path=path, delta_threshold=10_000)

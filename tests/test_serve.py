@@ -229,6 +229,27 @@ class TestServerEquivalence:
 
         run(scenario())
 
+    def test_empty_delete_to_new_tenant_is_a_noop(self):
+        async def scenario():
+            server = await _started_server(coalesce_window=0.0)
+            try:
+                client = await ServeClient.connect("127.0.0.1", server.port)
+                await client.attach("fresh", epsilon=0.2)
+                removed = await client.delete("fresh", [])
+                assert removed.tolist() == []
+                points = np.random.default_rng(61).random((20, 3))
+                ids = await client.insert("fresh", points)
+                assert ids.tolist() == list(range(20))
+                mirror = IncrementalJoin(JoinSpec(epsilon=0.2))
+                mirror.insert(points)
+                got = await client.range_query("fresh", points[0])
+                assert got.tobytes() == mirror.range_query(points[0]).tobytes()
+                await client.close()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
     def test_unknown_tenant_and_bad_requests(self):
         async def scenario():
             server = await _started_server()
