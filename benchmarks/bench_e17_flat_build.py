@@ -15,7 +15,7 @@ of whole-array passes.  Measured here:
     ``EpsilonKdbTree.empty`` tree, i.e. the pointer-based build path
     the flat build replaces (one Python descent per point);
   - ``pointer_bulk`` — ``EpsilonKdbTree.build``, the recursive bulk
-    build the join entry points call (one NumPy partition per node);
+    build behind the reference traversal (one NumPy partition per node);
   - ``flat`` — the vectorized flat build.
 
   The headline ``speedup`` compares flat against the per-point loop;

@@ -1,25 +1,19 @@
-"""E21 — Kernel backends: numpy vs numba over the leaf candidate stream.
+"""E21 — Work-queue tile size over the leaf candidate stream.
 
-The cascade's work is a per-row survivor pass over candidate tiles; the
-numpy backend must vectorize it stage by stage (compacting between
-stages), while the numba backend short-circuits per *row* per
-*dimension* in one compiled loop.  This experiment pits the two
-backends against each other on the same band-sweep candidate sets used
-by E16 — across dimensionality (d = 8..64 at the E2 crossover epsilon)
-and across work-queue tile sizes — verifying byte-identical masks at
-every point, then closes the loop with end-to-end self-joins per
-backend.
-
-On a machine without numba the experiment still runs and records an
-honest ``numba_available: false``: the numpy rows stand alone and no
-speedup is claimed.  The acceptance target (numba >= 2x at d >= 16) is
-demonstrated on the CI backend-matrix job, which installs numba.
+The traversals feed band-sweep candidates into a
+:class:`~repro.core.kernels.LeafBatchQueue`, which filters them one
+tile at a time (the batching scheme of Gowanlock & Karsin's GPU
+self-join).  This experiment re-feeds one band-sweep candidate set (the
+one E16 uses, at the E2 crossover epsilon) through the queue in uneven
+leaf-sized pieces at several tile sizes, so the measurement includes the
+queue's copy and flush overhead — the number a join actually pays — and
+verifies that every tile size emits the identical pair stream.
 
 Usage::
 
     python benchmarks/bench_e21_backends.py                 # full scale
     python benchmarks/bench_e21_backends.py --scale smoke   # seconds-sized
-    python benchmarks/bench_e21_backends.py --dims 16 32
+    python benchmarks/bench_e21_backends.py --dims 16
 """
 
 from __future__ import annotations
@@ -35,46 +29,19 @@ from _harness import attach_info, scale, uniform, write_record
 from bench_e16_kernels import band_candidates, crossover_epsilon
 from repro import JoinSpec
 from repro.analysis import Table, format_seconds, format_si
-from repro.core import PairCounter, epsilon_kdb_self_join, numba_available
-from repro.core.backends import DEFAULT_TILE_ROWS, LeafBatchQueue, resolve_kernel_backend
-from repro.core.kernels import build_kernel_context
-from repro.core.result import JoinStats
+from repro.core.kernels import DEFAULT_TILE_ROWS, LeafBatchQueue, build_kernel_context
 
-DIM_SWEEP = [8, 16, 32, 64]
 TILE_SWEEP = [4_096, 16_384, DEFAULT_TILE_ROWS, 262_144]
 TILE_DIMS = 32
 N = scale(20_000)
 CANDIDATE_CAP = scale(1_500_000)
 REPEATS = 3
 
-SMOKE_DIMS = [8, 16]
 SMOKE_TILES = [4_096, DEFAULT_TILE_ROWS]
+SMOKE_DIMS = 16
 SMOKE_N = 4_000
 SMOKE_CAP = 150_000
 SMOKE_REPEATS = 2
-
-
-def backend_names():
-    """Backends to race: numpy always, numba only when importable."""
-    names = ["numpy"]
-    if numba_available():
-        names.append("numba")
-    return names
-
-
-def _context_for(spec: JoinSpec, points: np.ndarray, backend_name: str):
-    context = build_kernel_context(
-        JoinSpec(
-            epsilon=spec.epsilon,
-            metric=spec.metric,
-            cascade=spec.cascade,
-            kernel_backend=backend_name,
-        ),
-        points,
-        sort_dim=0,
-    )
-    assert context is not None, "cascade must engage for every swept d"
-    return context
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -86,56 +53,16 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def measure_backends(dims: int, n: int = N, cap: int = CANDIDATE_CAP,
-                     repeats: int = REPEATS):
-    """Race the backends over one band-sweep candidate set."""
-    eps = crossover_epsilon(dims)
-    points = uniform(n, dims)
-    rows_a, rows_b = band_candidates(points, eps, cap)
-    spec = JoinSpec(epsilon=eps, cascade="auto")
-
-    row = {
-        "dims": dims,
-        "epsilon": eps,
-        "n": n,
-        "candidates": int(len(rows_a)),
-    }
-    masks = {}
-    for name in backend_names():
-        context = _context_for(spec, points, name)
-        # Warm-up outside the timed region: numba pays one-time JIT
-        # compilation on the first tile, which is amortized in any real
-        # join and must not be charged to the steady-state number.
-        masks[name] = context.within_rows(rows_a, rows_b)
-        row[f"{name}_seconds"] = _best_of(
-            lambda: context.within_rows(rows_a, rows_b), repeats
-        )
-        stats = JoinStats()
-        context.within_rows(rows_a, rows_b, stats)
-        row[f"{name}_coordinates_touched"] = stats.coordinates_touched
-    for name, mask in masks.items():
-        if not np.array_equal(mask, masks["numpy"]):
-            raise AssertionError(
-                f"backend {name!r} mask diverged from numpy at d={dims}"
-            )
-    row["matches"] = int(masks["numpy"].sum())
-    if "numba_seconds" in row and row["numba_seconds"]:
-        row["speedup"] = row["numpy_seconds"] / row["numba_seconds"]
-    return row
-
-
 def measure_tiles(dims: int = TILE_DIMS, tile_sweep=None, n: int = N,
                   cap: int = CANDIDATE_CAP, repeats: int = REPEATS):
-    """Sweep the work-queue tile size at fixed d, per backend.
-
-    The candidate stream is re-fed through a :class:`LeafBatchQueue` in
-    leaf-sized pieces so the measurement includes the queue's copy and
-    flush overhead — the number a join actually pays.
-    """
+    """Sweep the work-queue tile size at fixed d."""
     eps = crossover_epsilon(dims)
     points = uniform(n, dims)
     rows_a, rows_b = band_candidates(points, eps, cap)
-    spec = JoinSpec(epsilon=eps, cascade="auto")
+    context = build_kernel_context(
+        JoinSpec(epsilon=eps, cascade="auto"), points, sort_dim=0
+    )
+    assert context is not None, "the cascade must engage for the swept d"
     # Feed in uneven leaf-sized chunks, like the band sweep does.
     bounds = np.unique(
         np.random.default_rng(0).integers(0, len(rows_a), size=200)
@@ -148,147 +75,83 @@ def measure_tiles(dims: int = TILE_DIMS, tile_sweep=None, n: int = N,
 
     rows = []
     reference = None
-    for name in backend_names():
-        context = _context_for(spec, points, name)
-        context.within_rows(rows_a[:1], rows_b[:1])  # JIT warm-up
-        for tile_rows in (tile_sweep or TILE_SWEEP):
-            kept = []
+    for tile_rows in (tile_sweep or TILE_SWEEP):
+        kept = []
 
-            def run():
-                kept.clear()
-                queue = LeafBatchQueue(
-                    context.within_rows,
-                    lambda a, b: kept.append((a, b)),
-                    tile_rows=tile_rows,
-                )
-                for chunk_a, chunk_b in chunks:
-                    queue.add(chunk_a, chunk_b)
-                queue.flush()
-
-            seconds = _best_of(run, repeats)
-            run()
-            emitted = (
-                np.concatenate([a for a, _ in kept]) if kept else np.empty(0),
-                np.concatenate([b for _, b in kept]) if kept else np.empty(0),
+        def run():
+            kept.clear()
+            queue = LeafBatchQueue(
+                context.within_rows,
+                lambda a, b: kept.append((a, b)),
+                tile_rows=tile_rows,
             )
-            if reference is None:
-                reference = emitted
-            else:
-                if not (
-                    np.array_equal(emitted[0], reference[0])
-                    and np.array_equal(emitted[1], reference[1])
-                ):
-                    raise AssertionError(
-                        f"tile_rows={tile_rows} backend={name} changed "
-                        "the emitted pair stream"
-                    )
-            rows.append({
-                "backend": name,
-                "tile_rows": tile_rows,
-                "dims": dims,
-                "candidates": int(len(rows_a)),
-                "seconds": seconds,
-                "pairs": int(len(emitted[0])),
-            })
+            for chunk_a, chunk_b in chunks:
+                queue.add(chunk_a, chunk_b)
+            queue.flush()
+
+        seconds = _best_of(run, repeats)
+        run()
+        emitted = (
+            np.concatenate([a for a, _ in kept]) if kept else np.empty(0),
+            np.concatenate([b for _, b in kept]) if kept else np.empty(0),
+        )
+        if reference is None:
+            reference = emitted
+        elif not (
+            np.array_equal(emitted[0], reference[0])
+            and np.array_equal(emitted[1], reference[1])
+        ):
+            raise AssertionError(
+                f"tile_rows={tile_rows} changed the emitted pair stream"
+            )
+        rows.append({
+            "tile_rows": tile_rows,
+            "dims": dims,
+            "epsilon": eps,
+            "candidates": int(len(rows_a)),
+            "seconds": seconds,
+            "pairs": int(len(emitted[0])),
+        })
     return rows
 
 
-def measure_end_to_end(dims: int, n: int, repeats: int):
-    """Whole self-join per backend; pairs must agree byte for byte."""
-    eps = crossover_epsilon(dims)
-    points = uniform(n, dims)
-    row = {"dims": dims, "epsilon": eps, "n": n}
-    counts = {}
-    for name in backend_names():
-        spec = JoinSpec(epsilon=eps, cascade="auto", kernel_backend=name)
-
-        def run():
-            sink = PairCounter()
-            epsilon_kdb_self_join(points, spec, sink=sink)
-            return sink.count
-
-        run()  # JIT warm-up for the numba leg
-        row[f"join_seconds_{name}"] = _best_of(run, repeats)
-        counts[name] = run()
-    assert len(set(counts.values())) == 1, counts
-    row["pairs"] = counts["numpy"]
-    if "join_seconds_numba" in row and row["join_seconds_numba"]:
-        row["join_speedup"] = (
-            row["join_seconds_numpy"] / row["join_seconds_numba"]
-        )
-    return row
-
-
-@pytest.mark.parametrize("dims", DIM_SWEEP)
-def test_e21_backend_sweep(benchmark, dims):
-    benchmark.group = f"E21 kernel backends (N={N}, crossover eps)"
+@pytest.mark.parametrize("tile_rows", TILE_SWEEP)
+def test_e21_tile_sweep(benchmark, tile_rows):
+    benchmark.group = f"E21 work-queue tiles (N={N}, d={TILE_DIMS})"
 
     def run():
-        row = measure_backends(dims)
-        return {
-            "seconds": row["numpy_seconds"],
-            "numba_seconds": row.get("numba_seconds"),
-            "speedup": row.get("speedup"),
-            "candidates": row["candidates"],
-            "matches": row["matches"],
-        }
+        (row,) = measure_tiles(tile_sweep=[tile_rows], repeats=1)
+        return row
 
     row = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_info(benchmark, row)
-    if row["speedup"] is not None:
-        benchmark.extra_info["speedup"] = row["speedup"]
 
 
-def sweep(dim_sweep=None, tile_sweep=None, n: int = N,
+def sweep(dims: int = TILE_DIMS, tile_sweep=None, n: int = N,
           cap: int = CANDIDATE_CAP, repeats: int = REPEATS):
-    dim_sweep = list(dim_sweep or DIM_SWEEP)
-    have_numba = numba_available()
-    table = Table(
-        f"E21: kernel backends over leaf candidates "
-        f"(N={n}, uniform, eps=0.1*sqrt(d/16), "
-        f"numba={'yes' if have_numba else 'NOT INSTALLED'})",
-        ["d", "candidates", "numpy", "numba", "speedup", "join speedup"],
-    )
-    series = []
-    for dims in dim_sweep:
-        row = measure_backends(dims, n=n, cap=cap, repeats=repeats)
-        row.update(measure_end_to_end(dims, n=n, repeats=repeats))
-        series.append(row)
-        table.add_row(
-            dims,
-            format_si(row["candidates"]),
-            format_seconds(row["numpy_seconds"]),
-            format_seconds(row["numba_seconds"])
-            if "numba_seconds" in row else "n/a",
-            f"{row['speedup']:.2f}x" if "speedup" in row else "n/a",
-            f"{row['join_speedup']:.2f}x" if "join_speedup" in row else "n/a",
-        )
     tile_series = measure_tiles(
-        dims=min(TILE_DIMS, max(dim_sweep)), tile_sweep=tile_sweep,
-        n=n, cap=cap, repeats=repeats,
+        dims=dims, tile_sweep=tile_sweep, n=n, cap=cap, repeats=repeats
     )
-    tile_table = Table(
-        f"E21: work-queue tile size (d={min(TILE_DIMS, max(dim_sweep))})",
-        ["backend", "tile rows", "candidates", "seconds", "pairs"],
+    table = Table(
+        f"E21: work-queue tile size (N={n}, uniform, d={dims}, "
+        f"eps=0.1*sqrt(d/16))",
+        ["tile rows", "candidates", "seconds", "pairs"],
     )
     for row in tile_series:
-        tile_table.add_row(
-            row["backend"],
+        table.add_row(
             format_si(row["tile_rows"]),
             format_si(row["candidates"]),
             format_seconds(row["seconds"]),
             format_si(row["pairs"]),
         )
     record = {
-        "experiment": "e21_backends",
+        "experiment": "e21_tiles",
         "n": n,
         "candidate_cap": cap,
         "repeats": repeats,
-        "numba_available": have_numba,
-        "series": series,
         "tile_series": tile_series,
     }
-    return [table, tile_table], record
+    return table, record
 
 
 def _default_out() -> str:
@@ -299,11 +162,9 @@ def _default_out() -> str:
 
 def run_experiment():
     """Entry point for ``run_all.py``: full sweep, JSON recorded."""
-    tables, record = sweep()
+    table, record = sweep()
     write_record(record, _default_out())
-    for table in tables[1:]:
-        table.print()
-    return tables[0]
+    return table
 
 
 def main() -> int:
@@ -312,11 +173,9 @@ def main() -> int:
         "--scale",
         choices=["smoke", "full"],
         default="full",
-        help=f"smoke: {SMOKE_N} points, dims {SMOKE_DIMS} (for CI)",
+        help=f"smoke: {SMOKE_N} points at d={SMOKE_DIMS} (for CI)",
     )
-    parser.add_argument(
-        "--dims", type=int, nargs="+", help="dimensionalities to sweep"
-    )
+    parser.add_argument("--dims", type=int, help="dimensionality of the sweep")
     parser.add_argument(
         "--out",
         default=_default_out(),
@@ -324,15 +183,14 @@ def main() -> int:
     )
     args = parser.parse_args()
     smoke = args.scale == "smoke"
-    tables, record = sweep(
-        dim_sweep=args.dims or (SMOKE_DIMS if smoke else DIM_SWEEP),
+    table, record = sweep(
+        dims=args.dims or (SMOKE_DIMS if smoke else TILE_DIMS),
         tile_sweep=SMOKE_TILES if smoke else TILE_SWEEP,
         n=SMOKE_N if smoke else N,
         cap=SMOKE_CAP if smoke else CANDIDATE_CAP,
         repeats=SMOKE_REPEATS if smoke else REPEATS,
     )
-    for table in tables:
-        table.print()
+    table.print()
     write_record(record, args.out)
     print(f"recorded series in {args.out}")
     return 0

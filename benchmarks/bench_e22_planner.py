@@ -40,7 +40,7 @@ from repro.core.incremental import IncrementalJoin
 from repro.planner import CostProfile, set_active_profile
 from repro.storage import SnapshotView
 
-STRATEGIES = ("serial", "pointer", "parallel", "external", "sort-merge")
+STRATEGIES = ("serial", "parallel", "external")
 
 #: (points, dims, epsilon) per regret cell; epsilon tracks d so every
 #: cell produces a non-trivial but bounded candidate load.

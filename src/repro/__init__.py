@@ -22,7 +22,6 @@ baselines) is available from the subpackages; see README.md.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -136,7 +135,7 @@ ALGORITHMS = tuple(_SELF_JOIN_ALGORITHMS)
 #: Strategies the facade planner scores for a batch join; delta-probe
 #: and snapshot-reuse only make sense against a live or persisted
 #: session, which the serve layer plans separately.
-_PLANNED_STRATEGIES = ("serial", "pointer", "parallel", "external", "sort-merge")
+_PLANNED_STRATEGIES = ("serial", "parallel", "external")
 
 
 def _run_planned_strategy(plan, points, points2, spec):
@@ -144,13 +143,9 @@ def _run_planned_strategy(plan, points, points2, spec):
     byte-identical to the serial epsilon-kdb join (the differential
     suite proves it)."""
     strategy = plan.chosen
-    if strategy == "pointer":
-        spec = replace(spec, build="pointer")
     if points2 is None:
         if strategy == "parallel":
             return parallel_self_join(points, spec)
-        if strategy == "sort-merge":
-            return sort_merge_self_join(points, spec)
         if strategy == "external":
             report = external_self_join(
                 points, spec, memory_points=max(2, len(points))
@@ -159,8 +154,6 @@ def _run_planned_strategy(plan, points, points2, spec):
         return epsilon_kdb_self_join(points, spec)
     if strategy == "parallel":
         return parallel_join(points, points2, spec)
-    if strategy == "sort-merge":
-        return sort_merge_join(points, points2, spec)
     if strategy == "external":
         report = external_join(
             points, points2, spec,
@@ -184,8 +177,6 @@ def similarity_join(
     max_task_retries: Optional[int] = None,
     cascade: str = "auto",
     filter_dims: Optional[int] = None,
-    kernel_backend: str = "auto",
-    build: str = "auto",
     engine: str = "auto",
     updates: Optional[Sequence] = None,
     delta_threshold: Optional[int] = None,
@@ -234,24 +225,12 @@ def similarity_join(
         filter_dims: number of single-dimension pre-filter stages the
             cascade runs before the blocked distance reduction
             (``None``: scale with dimensionality).
-        kernel_backend: which
-            :class:`~repro.core.backends.KernelBackend` executes the
-            cascade: ``"auto"`` (default; numba when importable, else
-            numpy), ``"numpy"``, or ``"numba"`` (falls back to numpy
-            with a warning when numba is absent).  Every backend emits
-            byte-identical pairs; ``result.stats.kernel_backend``
-            records which one ran.
-        build: epsilon-kdB tree construction strategy: ``"auto"``
-            (default, currently the flat build), ``"flat"`` (vectorized
-            radix cell-coding build), or ``"pointer"`` (per-node object
-            build).  Both builds produce byte-identical pairs; only the
-            build cost differs.  Ignored by the baselines.
         engine: which execution strategy runs the ``epsilon-kdb``
             algorithm: ``"auto"`` (default) asks the cost-based planner
-            (:mod:`repro.planner`) to score serial, pointer-build,
-            parallel, external, and sort-merge execution against the
-            host's calibrated :class:`~repro.planner.CostProfile` and
-            run the predicted-cheapest; a pinned value runs that
+            (:mod:`repro.planner`) to score serial, parallel and
+            external execution against the host's calibrated
+            :class:`~repro.planner.CostProfile` and run the
+            predicted-cheapest; a pinned value runs that
             strategy directly (the plan is still computed and recorded
             for the mispredict metrics).  Every strategy emits
             byte-identical pairs; ``result.stats.planned_strategy`` /
@@ -323,8 +302,6 @@ def similarity_join(
         n_workers=n_workers,
         cascade=cascade,
         filter_dims=filter_dims,
-        kernel_backend=kernel_backend,
-        build=build,
         engine=engine,
     )
     if task_timeout is not None:

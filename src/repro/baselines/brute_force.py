@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import JoinSpec, validate_points
+from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.result import JoinResult, JoinStats, PairCollector, PairSink
 
 #: Points per tile side; a tile evaluates at most BLOCK * BLOCK pairs.
@@ -62,8 +62,7 @@ def brute_force_join(
     sink: Optional[PairSink] = None,
 ) -> JoinResult:
     """All ``(i, j)`` with ``dist(points_r[i], points_s[j]) <= eps``."""
-    points_r = validate_points(points_r, "points_r")
-    points_s = validate_points(points_s, "points_s")
+    points_r, points_s = validate_point_sets(points_r, points_s)
     collect = sink is None
     if collect:
         sink = PairCollector()

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.baselines._common import emit_block_pairs
-from repro.core.config import JoinSpec, validate_points
+from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.result import JoinResult, JoinStats, PairCollector, PairSink
 from repro.errors import InvalidParameterError
 
@@ -118,12 +118,7 @@ def grid_join(
     grid_dims: Optional[int] = None,
 ) -> JoinResult:
     """Two-set join via epsilon-cell bucketing of both sides."""
-    points_r = validate_points(points_r, "points_r")
-    points_s = validate_points(points_s, "points_s")
-    if points_r.shape[1] != points_s.shape[1]:
-        raise InvalidParameterError(
-            "both sides of a join must have the same dimensionality"
-        )
+    points_r, points_s = validate_point_sets(points_r, points_s)
     collect = sink is None
     if collect:
         sink = PairCollector()

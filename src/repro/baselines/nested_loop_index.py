@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import JoinSpec, validate_points
+from repro.core.config import JoinSpec, validate_point_sets
 from repro.core.epsilon_kdb import EpsilonKdbTree
 from repro.core.result import JoinResult, JoinStats, PairCollector, PairSink
 from repro.errors import InvalidParameterError
@@ -40,12 +40,7 @@ def index_nested_loop_join(
     ``index`` selects the probed structure: ``"epsilon-kdb"`` or
     ``"rplus"``.
     """
-    points_r = validate_points(points_r, "points_r")
-    points_s = validate_points(points_s, "points_s")
-    if points_r.shape[1] != points_s.shape[1]:
-        raise InvalidParameterError(
-            "both sides of a join must have the same dimensionality"
-        )
+    points_r, points_s = validate_point_sets(points_r, points_s)
     if index not in INDEX_CHOICES:
         raise InvalidParameterError(
             f"index must be one of {INDEX_CHOICES}, got {index!r}"

@@ -22,9 +22,8 @@ import numpy as np
 
 from repro.baselines._common import emit_block_pairs
 from repro.baselines.rtree import RNode, RTree
-from repro.core.config import JoinSpec, validate_points
+from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.result import JoinResult, JoinStats, PairCollector, PairSink
-from repro.errors import InvalidParameterError
 from repro.metrics import Metric
 
 
@@ -175,12 +174,7 @@ def rplus_join(
     """Two-set join via synchronized traversal of two R+-trees."""
     from repro.baselines.rplus_tree import RPlusTree
 
-    points_r = validate_points(points_r, "points_r")
-    points_s = validate_points(points_s, "points_s")
-    if points_r.shape[1] != points_s.shape[1]:
-        raise InvalidParameterError(
-            "both sides of a join must have the same dimensionality"
-        )
+    points_r, points_s = validate_point_sets(points_r, points_s)
     collect = sink is None
     if collect:
         sink = PairCollector()
@@ -212,12 +206,7 @@ def rtree_join(
     max_entries: int = 32,
 ) -> JoinResult:
     """Two-set join via synchronized traversal of two STR-packed trees."""
-    points_r = validate_points(points_r, "points_r")
-    points_s = validate_points(points_s, "points_s")
-    if points_r.shape[1] != points_s.shape[1]:
-        raise InvalidParameterError(
-            "both sides of a join must have the same dimensionality"
-        )
+    points_r, points_s = validate_point_sets(points_r, points_s)
     collect = sink is None
     if collect:
         sink = PairCollector()

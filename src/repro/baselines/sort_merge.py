@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import JoinSpec, validate_points
+from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.kernels import KernelContext, build_kernel_context
 from repro.core.result import JoinResult, JoinStats, PairCollector, PairSink
 from repro.core.sweep import iter_band_pairs_cross, iter_band_pairs_self
@@ -86,8 +86,7 @@ def sort_merge_join(
     filter_dim: Optional[int] = None,
 ) -> JoinResult:
     """Two-set join via a sorted band sweep along ``sweep_dim``."""
-    points_r = validate_points(points_r, "points_r")
-    points_s = validate_points(points_s, "points_s")
+    points_r, points_s = validate_point_sets(points_r, points_s)
     collect = sink is None
     if collect:
         sink = PairCollector()

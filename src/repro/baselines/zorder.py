@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.baselines._common import emit_block_pairs
-from repro.core.config import JoinSpec, validate_points
+from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.result import JoinResult, JoinStats, PairCollector, PairSink
 from repro.errors import InvalidParameterError
 
@@ -231,12 +231,7 @@ def zorder_join(
     zorder_dims: Optional[int] = None,
 ) -> JoinResult:
     """Two-set join: sort S by Morton code, probe with R's cells."""
-    points_r = validate_points(points_r, "points_r")
-    points_s = validate_points(points_s, "points_s")
-    if points_r.shape[1] != points_s.shape[1]:
-        raise InvalidParameterError(
-            "both sides of a join must have the same dimensionality"
-        )
+    points_r, points_s = validate_point_sets(points_r, points_s)
     collect = sink is None
     if collect:
         sink = PairCollector()

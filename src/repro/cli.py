@@ -52,7 +52,6 @@ from repro import (
 )
 from repro import _SELF_JOIN_ALGORITHMS as SELF_JOIN_REGISTRY
 from repro.analysis import Table, format_seconds, format_si
-from repro.core.backends import resolve_kernel_backend
 from repro.core.incremental import normalize_update
 from repro.core.result import JoinStats
 from repro.errors import CorruptSnapshotError, InvalidParameterError
@@ -120,22 +119,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         help="single-dimension pre-filter stages the cascade runs before "
         "the blocked reduction (default: scale with dimensionality)",
     )
-    parser.add_argument(
-        "--build",
-        choices=["auto", "flat", "pointer"],
-        default="auto",
-        help="epsilon-kdB tree construction: flat (vectorized radix "
-        "build), pointer (per-node objects), or auto (default: flat); "
-        "both yield byte-identical pairs",
-    )
-    parser.add_argument(
-        "--kernel-backend",
-        choices=["auto", "numpy", "numba"],
-        default="auto",
-        help="cascade kernel backend: auto (numba when installed, "
-        "default), numpy, or numba (falls back to numpy when absent); "
-        "every backend emits byte-identical pairs",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     join.add_argument(
         "--engine",
-        choices=["auto", "serial", "pointer", "parallel", "external", "sort-merge"],
+        choices=["auto", "serial", "parallel", "external"],
         default="auto",
         help="execution strategy for --algorithm epsilon-kdb: auto "
         "(default; the cost-based planner picks) or a forced strategy; "
@@ -414,14 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per request)",
     )
     serve.add_argument(
-        "--kernel-backend",
-        choices=["auto", "numpy", "numba"],
-        default="auto",
-        help="default cascade kernel backend for attached tenants "
-        "(default: auto — numba when installed, else numpy); attach "
-        "requests may override per tenant",
-    )
-    serve.add_argument(
         "--metrics-json",
         metavar="PATH",
         help="dump the serving metrics registry as JSON to PATH on "
@@ -598,7 +573,6 @@ _STAT_LABELS = {
     "delta_size": "delta buffer size",
     "pairs_retracted": "pairs retracted",
     "estimated_join_size": "estimated join size",
-    "kernel_backend": "kernel backend",
     "kernel_blocks": "kernel tiles",
     "kernel_tile_rows": "kernel tile rows",
     "kernel_seconds": "kernel time",
@@ -654,8 +628,6 @@ def _run_join(args: argparse.Namespace) -> int:
         leaf_size=args.leaf_size,
         cascade=args.cascade,
         filter_dims=args.filter_dims,
-        build=args.build,
-        kernel_backend=args.kernel_backend,
     )
     workers = getattr(args, "workers", None)
     engine = getattr(args, "engine", "auto")
@@ -680,12 +652,10 @@ def _run_join(args: argparse.Namespace) -> int:
             + (" (forced)" if plan.forced else " (planned)")
         )
         return 0
-    backend = resolve_kernel_backend(args.kernel_backend).name
     print(
         f"joining {len(points)} points, d={points.shape[1]}, "
         f"eps={spec.epsilon}, metric={spec.metric.name}, "
-        f"algorithm={args.algorithm}, build={spec.resolved_build()}, "
-        f"kernel backend={backend}"
+        f"algorithm={args.algorithm}"
         + (f", workers={workers}" if workers else "")
         + (f", engine={engine}" if engine != "auto" else "")
     )
@@ -717,8 +687,6 @@ def _run_join(args: argparse.Namespace) -> int:
                 max_task_retries=getattr(args, "max_task_retries", None),
                 cascade=args.cascade,
                 filter_dims=args.filter_dims,
-                kernel_backend=args.kernel_backend,
-                build=args.build,
                 engine=engine,
                 return_result=True,
             )
@@ -798,13 +766,7 @@ def _run_join_stream(args: argparse.Namespace) -> int:
         leaf_size=args.leaf_size,
         cascade=args.cascade,
         filter_dims=args.filter_dims,
-        build=args.build,
         delta_threshold=args.delta_threshold,
-        kernel_backend=args.kernel_backend,
-    )
-    print(
-        "kernel backend: "
-        f"{resolve_kernel_backend(args.kernel_backend).name}"
     )
     workers = args.workers
     engine = "parallel" if workers and workers > 1 else "serial"
@@ -971,14 +933,12 @@ def _run_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             max_pending=args.max_pending,
             default_deadline=args.deadline,
-            default_kernel_backend=args.kernel_backend,
         )
         await server.start()
         print(
             f"serving on {args.host}:{server.port} "
             f"(coalesce window {args.coalesce_window}s, "
-            f"size budget {args.max_predicted_pairs or 'none'}, "
-            f"kernel backend {server.resolved_kernel_backend})",
+            f"size budget {args.max_predicted_pairs or 'none'})",
             flush=True,
         )
         try:
@@ -1179,7 +1139,6 @@ def _run_search(args: argparse.Namespace) -> int:
         leaf_size=args.leaf_size,
         cascade=args.cascade,
         filter_dims=args.filter_dims,
-        build=args.build,
     )
     started = time.perf_counter()
     tree = EpsilonKdbTree.build(points, spec)
@@ -1218,7 +1177,6 @@ def _run_compare(args: argparse.Namespace) -> int:
         leaf_size=args.leaf_size,
         cascade=args.cascade,
         filter_dims=args.filter_dims,
-        build=args.build,
     )
     table = Table(
         f"all algorithms on {len(points)} points, d={points.shape[1]}, "

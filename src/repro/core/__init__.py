@@ -6,15 +6,6 @@ and :func:`repro.core.join.epsilon_kdb_join`, plus the tree itself in
 inspect the structure.
 """
 
-from repro.core.backends import (
-    KernelBackend,
-    LeafBatchQueue,
-    NumbaBackend,
-    NumpyBackend,
-    available_kernel_backends,
-    numba_available,
-    resolve_kernel_backend,
-)
 from repro.core.config import JoinSpec
 from repro.core.epsilon_kdb import EpsilonKdbTree, Grid
 from repro.core.external import ExternalJoinReport, external_join, external_self_join
@@ -31,6 +22,7 @@ from repro.core.kernels import (
     KernelContext,
     KernelPlan,
     KernelSource,
+    LeafBatchQueue,
     build_kernel_context,
     plan_cascade,
 )
@@ -62,13 +54,7 @@ __all__ = [
     "KernelContext",
     "KernelPlan",
     "KernelSource",
-    "KernelBackend",
     "LeafBatchQueue",
-    "NumpyBackend",
-    "NumbaBackend",
-    "available_kernel_backends",
-    "numba_available",
-    "resolve_kernel_backend",
     "build_kernel_context",
     "plan_cascade",
     "external_self_join",

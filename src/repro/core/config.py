@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,13 +87,6 @@ class JoinSpec:
             the cascade runs before the blocked short-circuit reduction;
             ``None`` picks ``max(1, min(3, d // 8))``, ``0`` disables the
             pre-filter stages (blocked reduction only).
-        build: which tree construction the join entry points use.
-            ``"flat"`` is the vectorized radix build
-            (:class:`repro.core.flat_build.FlatEpsilonKdbTree`);
-            ``"pointer"`` is the per-node object build
-            (:class:`repro.core.epsilon_kdb.EpsilonKdbTree`); ``"auto"``
-            (default) currently means ``"flat"``.  Both builds produce
-            the same leaf partition and byte-identical join results.
         delta_threshold: live delta-buffer rows at which an
             :class:`~repro.core.incremental.IncrementalJoin` session
             compacts automatically.  ``None`` (default) scales with the
@@ -130,23 +123,13 @@ class JoinSpec:
             corruption-fallback window at a linear disk cost; the
             minimum of 1 keeps only the newest.  A runtime knob, free to
             differ across re-opens of the same session.
-        kernel_backend: which :class:`~repro.core.backends.KernelBackend`
-            executes the leaf filter cascade: ``"auto"`` (default —
-            numba when importable, honoring the ``REPRO_KERNEL_BACKEND``
-            environment override), ``"numpy"``, or ``"numba"`` (falls
-            back to numpy with a one-time warning when numba is not
-            installed).  A pure runtime performance knob: every backend
-            emits byte-identical pairs, so it is excluded from the
-            structural fingerprint and free to differ across re-opens of
-            the same persisted session.
         engine: which execution strategy runs the join: ``"auto"``
             (default — the cost-based planner in :mod:`repro.planner`
             scores every viable strategy against the calibrated host
             profile and picks the cheapest), or a pinned ``"serial"``,
-            ``"pointer"``, ``"parallel"``, ``"external"``, or
-            ``"sort-merge"``.  Every strategy emits byte-identical
-            pairs, so — like ``kernel_backend`` — this is a pure runtime
-            knob excluded from the structural fingerprint.
+            ``"parallel"`` or ``"external"``.  Every strategy emits
+            byte-identical pairs, so this is a pure runtime knob
+            excluded from the structural fingerprint.
     """
 
     epsilon: float
@@ -161,14 +144,12 @@ class JoinSpec:
     max_task_retries: int = 2
     cascade: str = "auto"
     filter_dims: Optional[int] = None
-    build: str = "auto"
     delta_threshold: Optional[int] = None
     sketch_bits: int = DEFAULT_SKETCH_BITS
     persist_path: Optional[str] = None
     sync_mode: str = "batch"
     admission_threshold: Optional[float] = None
     keep_generations: int = 2
-    kernel_backend: str = "auto"
     engine: str = "auto"
 
     def __post_init__(self) -> None:
@@ -220,10 +201,6 @@ class JoinSpec:
                     f"filter_dims must be >= 0, got {self.filter_dims!r}"
                 )
             self.filter_dims = int(self.filter_dims)
-        if self.build not in ("auto", "flat", "pointer"):
-            raise InvalidParameterError(
-                f'build must be "auto", "flat" or "pointer", got {self.build!r}'
-            )
         if self.delta_threshold is not None:
             if int(self.delta_threshold) < 1:
                 raise InvalidParameterError(
@@ -255,22 +232,11 @@ class JoinSpec:
                 f"keep_generations must be >= 1, got {self.keep_generations!r}"
             )
         self.keep_generations = int(self.keep_generations)
-        if self.kernel_backend not in ("auto", "numpy", "numba"):
-            raise ConfigError(
-                f"unknown kernel backend {self.kernel_backend!r}: valid "
-                "values are 'auto', 'numpy', 'numba'"
-            )
-        if self.engine not in (
-            "auto", "serial", "pointer", "parallel", "external", "sort-merge"
-        ):
+        if self.engine not in ("auto", "serial", "parallel", "external"):
             raise ConfigError(
                 f"unknown engine {self.engine!r}: valid values are 'auto', "
-                "'serial', 'pointer', 'parallel', 'external', 'sort-merge'"
+                "'serial', 'parallel', 'external'"
             )
-
-    def resolved_build(self) -> str:
-        """The effective tree build strategy (``"flat"`` or ``"pointer"``)."""
-        return "flat" if self.build == "auto" else self.build
 
     def structural_dict(self) -> Dict[str, Any]:
         """The result-shaping parameters as JSON-ready data.
@@ -312,7 +278,6 @@ class JoinSpec:
             "adjacency_pruning": bool(self.adjacency_pruning),
             "cascade": self.cascade,
             "filter_dims": self.filter_dims,
-            "build": self.build,
             "delta_threshold": self.delta_threshold,
             "sketch_bits": self.sketch_bits,
         }
@@ -328,7 +293,8 @@ class JoinSpec:
 
         ``runtime`` supplies the non-structural knobs (``persist_path``,
         ``sync_mode``, ``n_workers``, ...) the caller wants on the
-        rebuilt spec.
+        rebuilt spec.  A ``"build"`` key, which older snapshots carry
+        from the since-removed tree-build selector, is ignored.
         """
         metric_data = data["metric"]
         kind = metric_data.get("kind")
@@ -353,7 +319,6 @@ class JoinSpec:
             adjacency_pruning=data["adjacency_pruning"],
             cascade=data["cascade"],
             filter_dims=data["filter_dims"],
-            build=data["build"],
             delta_threshold=data["delta_threshold"],
             sketch_bits=data["sketch_bits"],
             **runtime,
@@ -463,3 +428,17 @@ def validate_points(points: np.ndarray, name: str = "points") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{name} contains NaN or infinite values")
     return arr
+
+
+def validate_point_sets(
+    points_r: np.ndarray, points_s: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate both sides of a two-set join; they must share ``d``."""
+    points_r = validate_points(points_r, "points_r")
+    points_s = validate_points(points_s, "points_s")
+    if points_r.shape[1] != points_s.shape[1]:
+        raise InvalidParameterError(
+            "both sides of a join must have the same dimensionality: "
+            f"{points_r.shape[1]} != {points_s.shape[1]}"
+        )
+    return points_r, points_s

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.config import JoinSpec, validate_points
+from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.join import epsilon_kdb_join, epsilon_kdb_self_join
 from repro.core.resilience import retry_transient
 from repro.core.result import JoinStats, PairCollector, PairSink
@@ -311,12 +311,7 @@ def external_join(
             f"io_retries must be >= 0, got {io_retries!r}"
         )
     io_retries = int(io_retries)
-    points_r = validate_points(points_r, "points_r")
-    points_s = validate_points(points_s, "points_s")
-    if points_r.shape[1] != points_s.shape[1]:
-        raise InvalidParameterError(
-            "both sides of a join must have the same dimensionality"
-        )
+    points_r, points_s = validate_point_sets(points_r, points_s)
     if memory_points < 2:
         raise InvalidParameterError(
             f"memory_points must be >= 2, got {memory_points}"

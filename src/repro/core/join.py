@@ -7,11 +7,12 @@ joins children ``i-1``, ``i`` and ``i+1`` of the other node.  Leaf-level
 joins are vectorized sort-merge sweeps along one unsplit dimension with a
 full-distance filter.
 
-Flat trees (the default build) run one level-synchronous frontier
-(:class:`_Frontier`) that serves every flat entry point: both joins, the
-parallel stripe ranges, the incremental base probe and batched range
-queries.  The recursive traversal over pointer trees stays as the
-oracle the frontier's counters are tested against.
+Every join entry point builds a flat tree and runs one level-synchronous
+frontier (:class:`_Frontier`) over it: both joins, the parallel stripe
+ranges, the incremental base probe and batched range queries.  The
+recursive traversal over pointer trees (:class:`EpsilonKdbTree`) stays
+as the oracle the frontier's counters are tested against; passing a
+pointer tree as ``tree=`` to :func:`epsilon_kdb_self_join` runs it.
 
 Self-joins emit each unordered pair once with ``left < right``; two-set
 joins emit ``(r_index, s_index)`` with sides preserved.
@@ -24,11 +25,15 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.backends import LeafBatchQueue
-from repro.core.config import JoinSpec, validate_points
+from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.epsilon_kdb import EpsilonKdbTree, Grid, InternalNode, LeafNode
 from repro.core.flat_build import FlatEpsilonKdbTree, TreeCache
-from repro.core.kernels import KernelContext, KernelSource, build_kernel_context
+from repro.core.kernels import (
+    KernelContext,
+    KernelSource,
+    LeafBatchQueue,
+    build_kernel_context,
+)
 from repro.core.result import JoinResult, JoinStats, PairCollector, PairCounter, PairSink
 from repro.core.sweep import _expand_windows, band_pairs_cross, band_pairs_self
 from repro.errors import InvalidParameterError
@@ -93,8 +98,6 @@ class _JoinContext:
         # instead of once per leaf.  Callers must invoke finish().
         self.queue = LeafBatchQueue(self._filter_rows, self._emit)
         self.stats.kernel_tile_rows = self.queue.tile_rows
-        if kernel is not None:
-            self.stats.kernel_backend = kernel.backend.name
 
     # ------------------------------------------------------------------
     # leaf-level joins
@@ -119,7 +122,7 @@ class _JoinContext:
         self.queue.add(indices_a[pos_a], indices_b[pos_b])
 
     def _filter_rows(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Filter one work-queue tile; records per-backend kernel stats."""
+        """Filter one work-queue tile; records the kernel stats."""
         started = time.perf_counter()
         if self.kernel is not None:
             mask = self.kernel.within_rows(left, right, self.stats)
@@ -771,38 +774,6 @@ def _check_tree_reuse(spec: JoinSpec, tree_epsilon: float, cell_width: float) ->
         )
 
 
-def _flat_kernel_source(
-    tree_a: FlatEpsilonKdbTree,
-    source: Optional[KernelSource],
-    tree_b: Optional[FlatEpsilonKdbTree] = None,
-) -> Optional[KernelSource]:
-    """Recompose a caller's kernel source for flat (permuted) row ids.
-
-    The traversal hands the kernel flat rows; composing each side's
-    ``row_map`` with the tree's permutation makes the caller's column
-    stores (built over the original row space) address them correctly.
-    """
-    if source is None:
-        return None
-
-    def composed(row_map: Optional[np.ndarray], perm: np.ndarray) -> np.ndarray:
-        if row_map is None:
-            return perm
-        return np.asarray(row_map)[perm]
-
-    row_map_a = composed(source.row_map_a, tree_a.perm)
-    if tree_b is None:
-        return KernelSource(cols_a=source.cols_a, row_map_a=row_map_a)
-    row_map_b = composed(source.row_map_b, tree_b.perm)
-    cols_b = source.cols_a if source.cols_b is None else source.cols_b
-    return KernelSource(
-        cols_a=source.cols_a,
-        row_map_a=row_map_a,
-        cols_b=cols_b,
-        row_map_b=row_map_b,
-    )
-
-
 # ----------------------------------------------------------------------
 # public entry points
 # ----------------------------------------------------------------------
@@ -811,25 +782,30 @@ def epsilon_kdb_self_join(
     spec: JoinSpec,
     sink: Optional[PairSink] = None,
     tree: Optional[Union[EpsilonKdbTree, FlatEpsilonKdbTree]] = None,
-    kernel_source: Optional[KernelSource] = None,
     structure_cache: Optional[TreeCache] = None,
 ) -> JoinResult:
     """Self-join: all pairs ``i < j`` with ``dist(points[i], points[j]) <= eps``.
 
-    Builds an epsilon-kdB tree (unless a pre-built ``tree`` over the same
-    points and spec is supplied), traverses it with the adjacent-cell
-    rule, and returns a :class:`JoinResult`.  ``spec.build`` selects the
-    flat vectorized build (the default) or the pointer build; a pre-built
-    ``tree`` of either kind routes to its own traversal.  Pass a
+    Builds a flat epsilon-kdB tree (unless a pre-built ``tree`` over the
+    same points and spec is supplied), traverses it with the
+    adjacent-cell rule, and returns a :class:`JoinResult`.  A pre-built
+    ``tree`` must hold as many points as ``points``, of the same
+    dimensionality; a pointer :class:`EpsilonKdbTree` runs the recursive
+    reference traversal instead of the frontier.  Pass a
     :class:`~repro.core.result.PairCounter` as ``sink`` to count without
-    materializing pairs.  ``kernel_source`` supplies pre-built column
-    stores for the filter-cascade kernels (the parallel executor's
-    zero-copy path); without it the cascade builds its own per join when
-    ``spec.cascade_enabled(d)``.  ``structure_cache`` (a
+    materializing pairs.  ``structure_cache`` (a
     :class:`~repro.core.flat_build.TreeCache`) reuses a flat tree built
     at a coarser epsilon over the same data instead of re-sorting.
     """
     points = validate_points(points)
+    if tree is not None and (
+        len(tree) != len(points) or tree.grid.dims != points.shape[1]
+    ):
+        raise InvalidParameterError(
+            f"the pre-built tree holds {len(tree)} points of dimension "
+            f"{tree.grid.dims}, but the join was given {len(points)} points "
+            f"of dimension {points.shape[1]}; build the tree over these points"
+        )
     collect = sink is None
     if collect:
         sink = PairCollector()
@@ -856,11 +832,9 @@ def epsilon_kdb_self_join(
             elif structure_cache is not None:
                 flat_tree, cache_hit = structure_cache.get_or_build(points, spec)
                 built_here = not cache_hit
-            elif spec.resolved_build() == "flat":
+            else:
                 flat_tree = FlatEpsilonKdbTree.build(points, spec)
                 built_here = True
-            else:
-                tree = EpsilonKdbTree.build(points, spec)
         build_seconds = build_span.duration
     if flat_tree is not None:
         kernel = build_kernel_context(
@@ -869,7 +843,6 @@ def epsilon_kdb_self_join(
             grid=flat_tree.grid,
             split_dims=flat_tree.split_dims(),
             sort_dim=flat_tree.sort_dim,
-            source=_flat_kernel_source(flat_tree, kernel_source),
         )
         with trace.span("self-join-traversal", points=len(points)) as join_span:
             stats = _flat_join(
@@ -889,7 +862,6 @@ def epsilon_kdb_self_join(
             grid=tree.grid,
             split_dims=tree.split_dims(),
             sort_dim=tree.sort_dim,
-            source=kernel_source,
         )
         with trace.span("self-join-traversal", points=len(points)) as join_span:
             ctx = _JoinContext(
@@ -914,27 +886,20 @@ def epsilon_kdb_join(
     points_s: np.ndarray,
     spec: JoinSpec,
     sink: Optional[PairSink] = None,
-    kernel_source: Optional[KernelSource] = None,
 ) -> JoinResult:
     """Two-set join: all ``(i, j)`` with ``dist(points_r[i], points_s[j]) <= eps``.
 
-    Builds one epsilon-kdB tree per side over a shared grid covering the
-    union of both bounding boxes, then runs the synchronized traversal.
+    Builds one flat epsilon-kdB tree per side over a shared grid
+    covering the union of both bounding boxes, then runs the
+    synchronized frontier traversal.
     """
-    points_r = validate_points(points_r, "points_r")
-    points_s = validate_points(points_s, "points_s")
-    if points_r.shape[1] != points_s.shape[1]:
-        raise InvalidParameterError(
-            "both sides of a join must have the same dimensionality: "
-            f"{points_r.shape[1]} != {points_s.shape[1]}"
-        )
+    points_r, points_s = validate_point_sets(points_r, points_s)
     collect = sink is None
     if collect:
         sink = PairCollector()
     result = JoinResult()
     if len(points_r) == 0 or len(points_s) == 0:
         return result
-    flat = spec.resolved_build() == "flat"
     with trace.span(
         "build",
         points_r=len(points_r),
@@ -943,53 +908,27 @@ def epsilon_kdb_join(
         epsilon=spec.epsilon,
     ) as build_span:
         grid = Grid.fit_union(points_r, points_s, spec.band_width)
-        if flat:
-            tree_r = FlatEpsilonKdbTree.build(points_r, spec, grid=grid)
-            tree_s = FlatEpsilonKdbTree.build(points_s, spec, grid=grid)
-        else:
-            tree_r = EpsilonKdbTree.build(points_r, spec, grid=grid)
-            tree_s = EpsilonKdbTree.build(points_s, spec, grid=grid)
-    split_dims = tuple(set(tree_r.split_dims()) | set(tree_s.split_dims()))
-    if flat:
-        kernel = build_kernel_context(
-            spec,
-            tree_r.points_flat,
-            points_b=tree_s.points_flat,
-            grid=grid,
-            split_dims=split_dims,
-            sort_dim=tree_r.sort_dim,
-            source=_flat_kernel_source(tree_r, kernel_source, tree_b=tree_s),
-        )
-    else:
-        kernel = build_kernel_context(
-            spec,
-            points_r,
-            points_b=points_s,
-            grid=grid,
-            split_dims=split_dims,
-            sort_dim=tree_r.sort_dim,
-            source=kernel_source,
-        )
+        tree_r = FlatEpsilonKdbTree.build(points_r, spec, grid=grid)
+        tree_s = FlatEpsilonKdbTree.build(points_s, spec, grid=grid)
+    kernel = build_kernel_context(
+        spec,
+        tree_r.points_flat,
+        points_b=tree_s.points_flat,
+        grid=grid,
+        split_dims=tuple(set(tree_r.split_dims()) | set(tree_s.split_dims())),
+        sort_dim=tree_r.sort_dim,
+    )
     with trace.span("two-set-traversal") as join_span:
-        if flat:
-            stats = _flat_join(
-                tree_r, tree_s, spec, sink, kernel, _Level(pairs=([_ROOT], [_ROOT])), 0
-            )
-        else:
-            ctx = _JoinContext(
-                points_r, points_s, grid, spec, sink, self_mode=False, kernel=kernel
-            )
-            _cross_join(ctx, tree_r.root, tree_s.root)
-            ctx.finish()
-            stats = ctx.stats
+        stats = _flat_join(
+            tree_r, tree_s, spec, sink, kernel, _Level(pairs=([_ROOT], [_ROOT])), 0
+        )
         join_span.set_attribute("pairs", sink.count)
         join_span.set_attribute("leaf_joins", stats.leaf_joins)
     result.stats = stats
-    if flat:
-        result.stats.build_nodes = tree_r.n_nodes + tree_s.n_nodes
-        result.stats.build_sort_seconds = (
-            tree_r.build_sort_seconds + tree_s.build_sort_seconds
-        )
+    result.stats.build_nodes = tree_r.n_nodes + tree_s.n_nodes
+    result.stats.build_sort_seconds = (
+        tree_r.build_sort_seconds + tree_s.build_sort_seconds
+    )
     result.stats.pairs_emitted = sink.count
     result.build_seconds = build_span.duration
     result.join_seconds = join_span.duration

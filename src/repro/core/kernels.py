@@ -33,20 +33,35 @@ transpose copy plus an ``O(d log d)`` ordering), reused across every
 leaf, and — via :class:`KernelSource` — shared zero-copy with the
 parallel executor's worker processes through the existing shared-memory
 path in :mod:`repro.core.parallel`.
+
+:class:`LeafBatchQueue` is the batched leaf-pair work-queue the
+traversals feed (following the batching scheme of Gowanlock & Karsin's
+GPU self-join): instead of filtering each leaf's candidate list in its
+own tiny dispatch, candidates accumulate into reusable index buffers
+and are filtered one tile at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends import KernelBackend, gather_rows, resolve_kernel_backend
 from repro.core.config import JoinSpec
 from repro.core.result import JoinStats
 from repro.errors import ConfigError, InvalidParameterError
 from repro.obs import trace
+
+#: Candidate row pairs per work-queue tile.  Large enough that the
+#: cascade always engages on full tiles and per-tile dispatch overhead
+#: vanishes; small enough that a tile's gathered coordinates stay
+#: cache-friendly and the two int64 index buffers cost at most
+#: ~1 MiB.  This constant is the fallback; ``repro calibrate`` sweeps
+#: tile sizes and stores the fastest in the host's
+#: :class:`~repro.planner.profile.CostProfile`, which queues constructed
+#: without an explicit ``tile_rows`` adopt.
+DEFAULT_TILE_ROWS = 65_536
 
 #: Dimensions accumulated per short-circuit reduction block.
 DEFAULT_BLOCK_DIMS = 8
@@ -79,6 +94,19 @@ def _relative_slack(dtype: np.dtype, dims: int) -> float:
     if np.issubdtype(dtype, np.floating):
         return max(_MIN_RELATIVE_SLACK, float(np.finfo(dtype).eps) * 8 * dims)
     return _MIN_RELATIVE_SLACK
+
+
+def _abs_column_diff(
+    col_a: np.ndarray, col_b: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray
+) -> np.ndarray:
+    """``|col_a[rows_a] - col_b[rows_b]|`` as one fresh ``(m,)`` array."""
+    diff = np.take(col_a, rows_a) - np.take(col_b, rows_b)
+    return np.abs(diff, out=diff)
+
+
+def gather_rows(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(m, d)`` C-contiguous rows in natural dimension order."""
+    return np.ascontiguousarray(cols[:, rows].T)
 
 
 @dataclass(frozen=True)
@@ -165,11 +193,9 @@ class KernelContext:
     bit-identical output; ``stats`` (optional) receives the per-stage
     candidate/survivor counters.
 
-    The cascade itself executes through a pluggable
-    :class:`~repro.core.backends.KernelBackend`; the context owns the
-    backend-independent parts (plan, thresholds, column stores, the
-    small-batch direct path, and chunking/row-map translation), so every
-    backend sees identical tiles and identical thresholds.
+    The context owns the plan, thresholds, column stores, the
+    small-batch direct path and chunking/row-map translation; each
+    chunk is filtered by :func:`filter_chunk`.
     """
 
     __slots__ = (
@@ -183,7 +209,6 @@ class KernelContext:
         "exact_key",
         "prune_key",
         "filter_bound",
-        "backend",
     )
 
     def __init__(
@@ -194,7 +219,6 @@ class KernelContext:
         cols_b: Optional[np.ndarray] = None,
         row_map_a: Optional[np.ndarray] = None,
         row_map_b: Optional[np.ndarray] = None,
-        backend: Optional[KernelBackend] = None,
     ):
         if cols_a.ndim != 2 or cols_a.shape[0] != len(plan.order):
             raise InvalidParameterError(
@@ -214,11 +238,6 @@ class KernelContext:
         self.filter_bound = spec.metric.coordinate_bound(spec.epsilon) * (
             1.0 + slack
         )
-        if backend is None:
-            backend = resolve_kernel_backend(
-                getattr(spec, "kernel_backend", "auto")
-            )
-        self.backend = backend
 
     @property
     def dims(self) -> int:
@@ -244,8 +263,6 @@ class KernelContext:
             stats.cascade_candidates += int(n)
             if not stats.cascade_survivors:
                 stats.cascade_survivors = [0] * self.plan.n_stages
-            if not stats.kernel_backend:
-                stats.kernel_backend = self.backend.name
         if n < MIN_CASCADE_ROWS:
             return self._direct(rows_a, rows_b, stats)
         out = np.empty(n, dtype=bool)
@@ -253,15 +270,13 @@ class KernelContext:
             stop = min(start + _ROW_CHUNK, n)
             chunk_a = rows_a[start:stop]
             chunk_b = rows_b[start:stop]
-            # Row-map translation happens here, once, so every backend
+            # Row-map translation happens here, once, so the filter
             # receives indices in the column stores' global row space.
             if self.row_map_a is not None:
                 chunk_a = self.row_map_a[chunk_a]
             if self.row_map_b is not None:
                 chunk_b = self.row_map_b[chunk_b]
-            out[start:stop] = self.backend.filter_chunk(
-                self, chunk_a, chunk_b, stats
-            )
+            out[start:stop] = filter_chunk(self, chunk_a, chunk_b, stats)
         return out
 
     def _direct(
@@ -283,8 +298,7 @@ class KernelContext:
         if self.row_map_b is not None:
             rows_b = self.row_map_b[rows_b]
         diff = np.abs(
-            self._gather_rows(self.cols_a, rows_a)
-            - self._gather_rows(self.cols_b, rows_b)
+            gather_rows(self.cols_a, rows_a) - gather_rows(self.cols_b, rows_b)
         )
         mask = self.metric._reduce_abs_diff(diff) <= self.exact_key
         if stats is not None:
@@ -295,15 +309,108 @@ class KernelContext:
             stats.coordinates_touched += diff.size
         return mask
 
-    # The row gather lives in :mod:`repro.core.backends`; the alias
-    # keeps the historical ``KernelContext`` API.
-    _gather_rows = staticmethod(gather_rows)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<KernelContext d={self.dims} filters={self.plan.n_filters} "
-            f"metric={self.metric.name} backend={self.backend.name}>"
+            f"metric={self.metric.name}>"
         )
+
+
+def filter_chunk(
+    context: KernelContext,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+    stats: Optional[JoinStats] = None,
+) -> np.ndarray:
+    """Keep-mask of one tile of candidate row pairs: staged compaction.
+
+    ``rows_a`` / ``rows_b`` are already translated into the column
+    stores' global row space.  The mask equals the monolithic
+    ``metric.within_rows`` verdict bit for bit.
+    """
+    plan = context.plan
+    metric = context.metric
+    cols_a = context.cols_a
+    cols_b = context.cols_b
+    n = len(rows_a)
+    emit_events = trace.is_enabled()
+    touched = 0
+    # ``alive`` maps the compacted candidate arrays back to chunk
+    # positions; ``acc`` is the per-row partial distance key.
+    alive = np.arange(n, dtype=np.int64)
+    acc = np.zeros(n, dtype=cols_a.dtype)
+    survivors = []
+
+    # Stage 1..n_filters: single-dimension pre-filters.
+    for stage in range(plan.n_filters):
+        dim = plan.order[stage]
+        diff = _abs_column_diff(cols_a[dim], cols_b[dim], rows_a, rows_b)
+        touched += diff.size
+        keep = np.flatnonzero(diff <= context.filter_bound)
+        rows_a = rows_a[keep]
+        rows_b = rows_b[keep]
+        alive = alive[keep]
+        # The filter dimension's contribution is already computed;
+        # folding it into the accumulator tightens later pruning.
+        acc = metric.accumulate_abs_column(acc[keep], diff[keep], dim)
+        survivors.append(len(keep))
+        if emit_events:
+            trace.add_event(
+                "cascade-stage",
+                stage=stage + 1,
+                kind="pre-filter",
+                dim=int(dim),
+                candidates=int(len(diff)),
+                survivors=int(len(keep)),
+            )
+
+    # Blocked short-circuit reduction over the remaining dimensions:
+    # each column is gathered, subtracted and folded into the key on
+    # its own, so every temporary is one contiguous column, and rows
+    # are pruned once per block.
+    remaining = plan.order[plan.n_filters:]
+    reduction_in = len(rows_a)
+    for start in range(0, len(remaining), plan.block_dims):
+        if not len(rows_a):
+            break
+        block_dims = remaining[start:start + plan.block_dims]
+        for dim in block_dims:
+            acc = metric.accumulate_abs_column(
+                acc, _abs_column_diff(cols_a[dim], cols_b[dim], rows_a, rows_b), dim
+            )
+        touched += len(rows_a) * len(block_dims)
+        keep = np.flatnonzero(acc <= context.prune_key)
+        if len(keep) < len(rows_a):
+            rows_a = rows_a[keep]
+            rows_b = rows_b[keep]
+            alive = alive[keep]
+            acc = acc[keep]
+
+    # Exact final check: reproduce the monolithic kernel's
+    # computation (natural dimension order, C-contiguous rows) on
+    # the few survivors, so boundary decisions match bit for bit.
+    mask = np.zeros(n, dtype=bool)
+    final_survivors = 0
+    if len(rows_a):
+        diff = np.abs(gather_rows(cols_a, rows_a) - gather_rows(cols_b, rows_b))
+        touched += diff.size
+        exact = metric._reduce_abs_diff(diff) <= context.exact_key
+        mask[alive[exact]] = True
+        final_survivors = int(np.count_nonzero(exact))
+    survivors.append(final_survivors)
+    if emit_events:
+        trace.add_event(
+            "cascade-stage",
+            stage=plan.n_filters + 1,
+            kind="reduction",
+            candidates=int(reduction_in),
+            survivors=final_survivors,
+        )
+    if stats is not None:
+        for stage, count in enumerate(survivors):
+            stats.cascade_survivors[stage] += count
+        stats.coordinates_touched += touched
+    return mask
 
 
 def build_kernel_context(
@@ -335,7 +442,6 @@ def build_kernel_context(
     dims = points_a.shape[1]
     if not spec.cascade_enabled(dims):
         return None
-    backend = resolve_kernel_backend(getattr(spec, "kernel_backend", "auto"))
     with trace.span("kernel-plan", dims=dims) as span:
         if grid is not None:
             spreads = np.asarray(grid.hi, dtype=np.float64) - np.asarray(
@@ -359,17 +465,98 @@ def build_kernel_context(
                 cols_b=source.cols_b,
                 row_map_a=source.row_map_a,
                 row_map_b=source.row_map_b,
-                backend=backend,
             )
         else:
             cols_a = np.ascontiguousarray(points_a.T)
             cols_b = (
                 np.ascontiguousarray(points_b.T) if points_b is not None else None
             )
-            context = KernelContext(
-                plan, spec, cols_a=cols_a, cols_b=cols_b, backend=backend
-            )
+            context = KernelContext(plan, spec, cols_a=cols_a, cols_b=cols_b)
         span.set_attribute("filters", plan.n_filters)
         span.set_attribute("order", list(plan.order))
-        span.set_attribute("backend", backend.name)
     return context
+
+
+class LeafBatchQueue:
+    """Accumulate per-leaf candidate pairs; filter them in fixed-size tiles.
+
+    The leaf sort-merge sweeps produce many small candidate lists (one
+    per band per leaf); filtering each individually pays per-call
+    dispatch and — below ``MIN_CASCADE_ROWS`` — forfeits the cascade
+    entirely.  The queue copies incoming candidate indices into two
+    int64 tile buffers and invokes ``filter_rows`` exactly once per
+    full tile (plus once for the remainder at ``flush``), emitting the
+    surviving pairs through ``emit``.  The buffers grow on demand (by
+    doubling) up to one tile, so a small probe — a single range query —
+    never allocates a whole tile.
+
+    Exactness: the filter's verdict is a pure per-row function, so
+    regrouping candidates across leaves cannot change any verdict — only
+    the number of filter invocations.  Callers **must** call
+    :meth:`flush` before consuming their sink.
+    """
+
+    __slots__ = ("_filter_rows", "_emit", "tile_rows", "_buf_a", "_buf_b", "_fill")
+
+    def __init__(
+        self,
+        filter_rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        emit: Callable[[np.ndarray, np.ndarray], None],
+        tile_rows: Optional[int] = None,
+    ):
+        if tile_rows is None:
+            # The calibrated host profile carries the auto-tuned tile
+            # size (function-level import: planner.profile is stdlib-only
+            # and must never import core at module level, so the
+            # dependency points this way, lazily).
+            from repro.planner.profile import active_tile_rows
+
+            tile_rows = active_tile_rows()
+        if tile_rows < 1:
+            raise ConfigError(f"tile_rows must be >= 1, got {tile_rows!r}")
+        self._filter_rows = filter_rows
+        self._emit = emit
+        self.tile_rows = int(tile_rows)
+        self._buf_a = np.empty(0, dtype=np.int64)
+        self._buf_b = np.empty(0, dtype=np.int64)
+        self._fill = 0
+
+    def add(self, rows_a: np.ndarray, rows_b: np.ndarray) -> None:
+        """Enqueue one leaf's aligned candidate row pairs."""
+        n = len(rows_a)
+        pos = 0
+        while pos < n:
+            take = min(self.tile_rows - self._fill, n - pos)
+            stop = self._fill + take
+            if stop > len(self._buf_a):
+                self._grow(stop)
+            self._buf_a[self._fill:stop] = rows_a[pos:pos + take]
+            self._buf_b[self._fill:stop] = rows_b[pos:pos + take]
+            self._fill = stop
+            pos += take
+            if self._fill == self.tile_rows:
+                self.flush()
+
+    def _grow(self, need: int) -> None:
+        size = min(self.tile_rows, max(need, 2 * len(self._buf_a)))
+        for name in ("_buf_a", "_buf_b"):
+            grown = np.empty(size, dtype=np.int64)
+            grown[:self._fill] = getattr(self, name)[:self._fill]
+            setattr(self, name, grown)
+
+    def flush(self) -> None:
+        """Filter and emit everything currently buffered."""
+        if not self._fill:
+            return
+        left = self._buf_a[:self._fill]
+        right = self._buf_b[:self._fill]
+        mask = self._filter_rows(left, right)
+        # Boolean indexing copies, so the emitted arrays do not alias
+        # the tile buffers the next fill cycle overwrites.
+        self._emit(left[mask], right[mask])
+        self._fill = 0
+
+    @property
+    def pending(self) -> int:
+        """Buffered candidate pairs not yet filtered."""
+        return self._fill

@@ -3,30 +3,25 @@
 The epsilon-kdB decomposition is embarrassingly parallel along any split
 dimension: child ``i`` of a split node only ever joins children
 ``i-1..i+1``, so a run of epsilon-wide cells (a *stripe*) joins only
-itself and an epsilon-wide band at each neighbouring stripe.  The
+itself and its neighbouring stripes' adjacent cells.  The
 external-memory driver (:mod:`repro.core.external`) already exploits
 this to bound memory; this module exploits it to bound *latency*: it
-plans overlapping stripes along the first split dimension, ships the
-shared ``(n, d)`` point array to worker processes once via
-``multiprocessing.shared_memory`` (workers receive only ``int64`` index
-arrays, matching the tree's no-copy index-array design), runs one serial
-epsilon-kdB join per stripe in a process pool, and merges the per-stripe
-pair blocks deterministically.
+plans load-balanced stripes along the first split dimension, builds one
+flat tree in the parent, ships its arrays to worker processes once via
+``multiprocessing.shared_memory``, lets each worker traverse one
+disjoint range of the root's children in a process pool, and merges the
+per-stripe pair blocks deterministically.
 
-Partitioning rule (self-join): stripe ``k`` *owns* the points whose
-dimension-0 cell falls in its span; its task set is the owned points
-plus the *boundary band* — points of later stripes within
-``stripe_overlap`` (>= one cell width) of the stripe's upper boundary.
-Every qualifying pair therefore appears in at least one task (both
-points in one stripe, or spanning adjacent stripes with the upper point
-in the band), and a pair can appear in at most two adjacent tasks (when
-both points sit inside one band).  The merge removes those duplicates
-with :func:`repro.core.result.canonicalize_self_pairs`, whose
+Partitioning rule (self-join): the task owning root children
+``[lo, hi)`` joins each of them with itself and with its right-adjacent
+sibling, so the tasks partition the serial root visit exactly.  Two-set
+joins assign each adjacent root-cell pair to the smaller of its two
+cells.  The merge canonicalizes with
+:func:`repro.core.result.canonicalize_self_pairs` (or
+:func:`repro.core.result.canonicalize_two_set_pairs`), whose
 ``np.unique`` ordering is exactly the serial path's lexicographic
 ``sorted_pairs()`` ordering — so the parallel result is byte-identical
-to the serial one.  Two-set joins stripe both relations on shared
-boundaries planned from the combined histogram and merge with
-:func:`repro.core.result.canonicalize_two_set_pairs`.
+to the serial one.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import JoinSpec, validate_points
+from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.epsilon_kdb import Grid
 from repro.core.external import plan_stripes
 from repro.core.flat_build import FlatEpsilonKdbTree
@@ -99,11 +94,6 @@ class StripePlan:
     def n_stripes(self) -> int:
         return len(self.spans)
 
-    def boundaries(self) -> np.ndarray:
-        """Upper-boundary coordinate of each stripe except the last."""
-        stops = np.array([stop for _, stop in self.spans[:-1]], dtype=np.float64)
-        return self.lo + stops * self.cell_width
-
     def cell_of(self, values: np.ndarray) -> np.ndarray:
         cells = np.floor((np.asarray(values) - self.lo) / self.cell_width)
         return np.clip(cells, 0, self.n_cells - 1).astype(np.int64)
@@ -114,25 +104,6 @@ class StripePlan:
         for sid, (start, stop) in enumerate(self.spans):
             cell_to_stripe[start:stop] = sid
         return cell_to_stripe[self.cell_of(values)]
-
-    def task_indices(self, values: np.ndarray) -> List[np.ndarray]:
-        """Global point indices of each stripe task, in ascending order.
-
-        Task ``k`` holds stripe ``k``'s owned points plus the boundary
-        band: points owned by later stripes whose coordinate is within
-        ``overlap`` of stripe ``k``'s upper boundary.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        owners = self.owner_of(values)
-        boundaries = self.boundaries()
-        tasks: List[np.ndarray] = []
-        for sid in range(self.n_stripes):
-            mask = owners == sid
-            if sid < self.n_stripes - 1:
-                boundary = boundaries[sid]
-                mask |= (owners > sid) & (values <= boundary + self.overlap)
-            tasks.append(np.flatnonzero(mask))
-        return tasks
 
 
 def plan_parallel_stripes(
@@ -203,50 +174,6 @@ def _init_worker(segments: Dict[str, Tuple[str, Tuple[int, ...], str]]) -> None:
         )
 
 
-def _self_stripe_task(
-    spec: JoinSpec, members: np.ndarray
-) -> Tuple[np.ndarray, JoinStats, float]:
-    started = time.perf_counter()
-    points = _WORKER_POINTS["a"][members]
-    # The shipped (d, n) column store backs the filter-cascade kernels
-    # zero-copy: the stripe's tree indexes its local point subset, and
-    # ``row_map`` translates those rows into the global store.
-    cols = _WORKER_POINTS.get("a_cols")
-    source = (
-        KernelSource(cols_a=cols, row_map_a=members) if cols is not None else None
-    )
-    local = epsilon_kdb_self_join(points, spec, kernel_source=source)
-    pairs = members[local.pairs] if len(local.pairs) else local.pairs
-    return pairs, local.stats, time.perf_counter() - started
-
-
-def _cross_stripe_task(
-    spec: JoinSpec, members_r: np.ndarray, members_s: np.ndarray
-) -> Tuple[np.ndarray, JoinStats, float]:
-    started = time.perf_counter()
-    points_r = _WORKER_POINTS["r"][members_r]
-    points_s = _WORKER_POINTS["s"][members_s]
-    cols_r = _WORKER_POINTS.get("r_cols")
-    cols_s = _WORKER_POINTS.get("s_cols")
-    if cols_r is not None and cols_s is not None:
-        source = KernelSource(
-            cols_a=cols_r,
-            row_map_a=members_r,
-            cols_b=cols_s,
-            row_map_b=members_s,
-        )
-    else:
-        source = None
-    local = epsilon_kdb_join(points_r, points_s, spec, kernel_source=source)
-    if len(local.pairs):
-        pairs = np.column_stack(
-            [members_r[local.pairs[:, 0]], members_s[local.pairs[:, 1]]]
-        )
-    else:
-        pairs = local.pairs
-    return pairs, local.stats, time.perf_counter() - started
-
-
 # Upper bound of the last two-set flat task's cell range; absorbs any
 # floating-point disagreement between the stripe plan's cell count and
 # the grid's.
@@ -268,7 +195,7 @@ def _worker_flat_tree(prefix: str, spec: JoinSpec, grid: Grid) -> FlatEpsilonKdb
 def _flat_self_stripe_task(
     spec: JoinSpec, child_lo: int, child_hi: int
 ) -> Tuple[np.ndarray, JoinStats, float]:
-    """Flat-mode self stripe task: join one range of root children.
+    """Self stripe task: join one range of the flat tree's root children.
 
     The tree is not rebuilt: its permuted point array, digit matrix and
     CSR node table arrive through shared memory, and the grid is refit
@@ -304,7 +231,7 @@ def _flat_self_stripe_task(
 def _flat_cross_stripe_task(
     spec: JoinSpec, cell_lo: int, cell_hi: int
 ) -> Tuple[np.ndarray, JoinStats, float]:
-    """Flat-mode two-set stripe task: join one range of root cells."""
+    """Two-set stripe task: join one range of root cells."""
     started = time.perf_counter()
     with trace.span("build", cell_lo=cell_lo):
         points_r = _WORKER_POINTS["r"]
@@ -412,7 +339,7 @@ class ParallelJoinExecutor:
     docstring).
 
     The pool path is fault-tolerant.  Every stripe task is a pure
-    function of ``(points, spec, member indices)``, so recovery is
+    function of ``(shipped tree arrays, spec, range)``, so recovery is
     re-execution: a crashed or timed-out task is re-dispatched up to
     ``max_task_retries`` times (exponential backoff), then run one final
     time *in the parent process*, so a task whose pool workers keep
@@ -513,30 +440,7 @@ class ParallelJoinExecutor:
                 return self._serial(
                     lambda: epsilon_kdb_self_join(points, self.spec, sink=sink)
                 )
-            if self.spec.resolved_build() == "flat":
-                return self._flat_self(points, dim, plan, sink, started)
-            tasks = [
-                (members,)
-                for members in plan.task_indices(points[:, dim])
-                if len(members) >= 2
-            ]
-            segments = {"a": points}
-            if self.spec.cascade_enabled(points.shape[1]):
-                # One (d, n) structure-of-arrays copy, shipped once and
-                # shared by every stripe's cascade kernels.
-                segments["a_cols"] = np.ascontiguousarray(points.T)
-            try:
-                outcomes, planned, resilience = self._run(
-                    _self_stripe_task, tasks, segments, started
-                )
-            except DegradeToSerial as signal:
-                return self._degraded_serial(
-                    lambda: epsilon_kdb_self_join(points, self.spec, sink=sink),
-                    signal,
-                )
-            return self._merge(
-                outcomes, planned, plan, sink, canonicalize_self_pairs, resilience
-            )
+            return self._flat_self(points, dim, plan, sink, started)
 
     def join(
         self,
@@ -545,13 +449,7 @@ class ParallelJoinExecutor:
         sink: Optional[PairSink] = None,
     ) -> JoinResult:
         """Parallel two-set join; same contract as ``epsilon_kdb_join``."""
-        points_r = validate_points(points_r, "points_r")
-        points_s = validate_points(points_s, "points_s")
-        if points_r.shape[1] != points_s.shape[1]:
-            raise InvalidParameterError(
-                "both sides of a join must have the same dimensionality: "
-                f"{points_r.shape[1]} != {points_s.shape[1]}"
-            )
+        points_r, points_s = validate_point_sets(points_r, points_s)
         total = len(points_r) + len(points_s)
         with trace.span(
             "parallel-two-set-join",
@@ -573,10 +471,8 @@ class ParallelJoinExecutor:
             started = time.perf_counter()
             with trace.span("plan") as plan_span:
                 dim = int(self.spec.resolved_split_order(points_r.shape[1])[0])
-                values_r = points_r[:, dim]
-                values_s = points_s[:, dim]
                 plan = plan_parallel_stripes(
-                    np.concatenate([values_r, values_s]),
+                    np.concatenate([points_r[:, dim], points_s[:, dim]]),
                     self.spec,
                     self.n_workers,
                     self.stripes_per_worker,
@@ -587,36 +483,10 @@ class ParallelJoinExecutor:
                 return self._serial(
                     lambda: epsilon_kdb_join(points_r, points_s, self.spec, sink=sink)
                 )
-            if self.spec.resolved_build() == "flat":
-                return self._flat_cross(points_r, points_s, plan, sink, started)
-            tasks = [
-                (members_r, members_s)
-                for members_r, members_s in zip(
-                    plan.task_indices(values_r), plan.task_indices(values_s)
-                )
-                if len(members_r) and len(members_s)
-            ]
-            segments = {"r": points_r, "s": points_s}
-            if self.spec.cascade_enabled(points_r.shape[1]):
-                segments["r_cols"] = np.ascontiguousarray(points_r.T)
-                segments["s_cols"] = np.ascontiguousarray(points_s.T)
-            try:
-                outcomes, planned, resilience = self._run(
-                    _cross_stripe_task, tasks, segments, started
-                )
-            except DegradeToSerial as signal:
-                return self._degraded_serial(
-                    lambda: epsilon_kdb_join(
-                        points_r, points_s, self.spec, sink=sink
-                    ),
-                    signal,
-                )
-            return self._merge(
-                outcomes, planned, plan, sink, canonicalize_two_set_pairs, resilience
-            )
+            return self._flat_cross(points_r, points_s, plan, sink, started)
 
     # ------------------------------------------------------------------
-    # flat-build mode
+    # stripe execution over globally built flat trees
     # ------------------------------------------------------------------
     def _flat_self(self, points, dim, plan, sink, started) -> JoinResult:
         """Parallel self-join over one globally built flat tree.

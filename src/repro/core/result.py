@@ -95,17 +95,13 @@ class JoinStats:
         batches_rejected: update batches refused by sketch-based
             admission control (``spec.admission_threshold``); a refused
             batch journals nothing and mutates nothing.
-        kernel_backend: name of the
-            :class:`~repro.core.backends.KernelBackend` that executed
-            the leaf filter cascade (``"numpy"`` or ``"numba"``; empty
-            when the monolithic kernel ran without a cascade context).
         kernel_blocks: candidate tiles the leaf work-queue dispatched to
             the filter kernel (cascaded or monolithic).
         kernel_tile_rows: capacity of the leaf work-queue's tiles, in
             candidate row pairs (a gauge; ``merge`` keeps the maximum).
         kernel_seconds: wall-clock spent inside the leaf filter kernel,
-            summed over work-queue tiles — the denominator E21 uses to
-            compare backends.
+            summed over work-queue tiles — the figure E21's tile sweep
+            compares.
         planned_strategy: execution strategy the cost-based planner
             chose (:mod:`repro.planner`); empty when the caller pinned
             an engine without planning or called an algorithm directly.
@@ -148,7 +144,6 @@ class JoinStats:
     recovery_seconds: float = 0.0
     corrupt_frames_discarded: int = 0
     batches_rejected: int = 0
-    kernel_backend: str = ""
     kernel_blocks: int = 0
     kernel_tile_rows: int = 0
     kernel_seconds: float = 0.0
@@ -222,8 +217,6 @@ class JoinStats:
         self.recovery_seconds += other.recovery_seconds
         self.corrupt_frames_discarded += other.corrupt_frames_discarded
         self.batches_rejected += other.batches_rejected
-        if not self.kernel_backend:
-            self.kernel_backend = other.kernel_backend
         self.kernel_blocks += other.kernel_blocks
         self.kernel_tile_rows = max(self.kernel_tile_rows, other.kernel_tile_rows)
         self.kernel_seconds += other.kernel_seconds

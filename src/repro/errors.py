@@ -24,7 +24,7 @@ class ConfigError(InvalidParameterError):
     """A configuration knob holds an unknown or inconsistent value.
 
     A specialization of :class:`InvalidParameterError` for mode strings
-    and backend selectors (``cascade``, ``kernel_backend``, ...): the
+    and strategy selectors (``cascade``, ``engine``, ...): the
     message always lists the valid values.  Raised both at
     :class:`~repro.core.config.JoinSpec` validation time and again at
     the point of use (e.g. :func:`~repro.core.kernels.build_kernel_context`),

@@ -166,8 +166,8 @@ class MetricsRegistry:
         Field mapping: ints increment counters, bools set 0/1 gauges,
         floats set gauges, numeric lists feed histograms, and non-empty
         strings set a ``<name>.<value>`` marker gauge to 1 (so e.g.
-        ``kernel_backend="numba"`` surfaces as
-        ``join.kernel_backend.numba``) — so new ``JoinStats`` fields
+        ``planned_strategy="serial"`` surfaces as
+        ``join.planned_strategy.serial``) — so new ``JoinStats`` fields
         flow through without touching this code.
         When the dataclass renders itself via ``as_dict`` (as
         ``JoinStats`` does, expanding per-stage cascade survivor counts

@@ -7,8 +7,7 @@ measures this host's per-unit costs once and caches them as a
 :func:`~repro.planner.plan.plan_execution` combines those constants with
 the analytic work predictions (and a live session's join-size sketch)
 into an :class:`~repro.planner.plan.ExecutionPlan` ranking serial,
-pointer, parallel, external, sort-merge, delta-probe, and
-snapshot-reuse execution.  ``similarity_join(engine="auto")``, the
+parallel, external, delta-probe, and snapshot-reuse execution.  ``similarity_join(engine="auto")``, the
 serve layer, and ``repro join --explain`` all consume it.
 """
 

@@ -2,10 +2,10 @@
 
 Each probe isolates one term of the planner's cost formulas and times it
 on a small synthetic workload: a real ε-kdB join for the kernel and
-traversal constants, flat-vs-pointer builds for the build ratio, a
+traversal and build constants, a
 :class:`~repro.storage.pages.PageStore` scan for simulated page I/O, a
 two-worker process pool for dispatch and startup, a throwaway memmap for
-snapshot mapping, and a :class:`~repro.core.backends.LeafBatchQueue`
+snapshot mapping, and a :class:`~repro.core.kernels.LeafBatchQueue`
 sweep that picks the fastest tile size.  The whole suite runs in a few
 seconds and the result is cached on disk (see
 :func:`repro.planner.profile.default_profile_path`) keyed to the host
@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends import LeafBatchQueue
 from repro.core.config import JoinSpec
 from repro.core.join import epsilon_kdb_self_join
+from repro.core.kernels import LeafBatchQueue
 from repro.planner.profile import (
     CostProfile,
     default_profile_path,
@@ -77,29 +77,6 @@ def _probe_join_constants(profile: CostProfile) -> None:
         / max(1, stats.node_pairs_visited)
     )
     profile.build_point_seconds = _positive(result.build_seconds / n)
-
-
-def _probe_pointer_ratio() -> float:
-    """Flat-vs-pointer build timing at a size where pointer is bearable."""
-    rng = np.random.RandomState(99)
-    points = rng.uniform(size=(1500, 8))
-    flat = epsilon_kdb_self_join(points, JoinSpec(epsilon=0.1, build="flat"))
-    pointer = epsilon_kdb_self_join(points, JoinSpec(epsilon=0.1, build="pointer"))
-    return _positive(pointer.build_seconds) / _positive(flat.build_seconds)
-
-
-def _probe_sort_constant() -> float:
-    """Seconds per point per log2(n) of a plain numpy sort."""
-    rng = np.random.RandomState(7)
-    values = rng.uniform(size=200_000)
-    best = float("inf")
-    for _ in range(3):
-        data = values.copy()
-        started = time.perf_counter()
-        data.sort()
-        best = min(best, time.perf_counter() - started)
-    m = len(values)
-    return _positive(best / (m * math.log2(m)))
 
 
 def _probe_page_io() -> float:
@@ -191,17 +168,12 @@ def calibrate() -> CostProfile:
     """Run every probe and return a freshly measured :class:`CostProfile`."""
     profile = CostProfile()
     _probe_join_constants(profile)
-    profile.pointer_build_factor = _probe_pointer_ratio()
-    profile.sort_point_seconds = _probe_sort_constant()
     profile.page_io_seconds = _probe_page_io()
     dispatch, startup = _probe_pool()
     profile.worker_dispatch_seconds = dispatch
     profile.pool_startup_seconds = startup
     profile.snapshot_byte_seconds = _probe_snapshot_bytes()
     profile.tile_rows = _probe_tile_rows()
-    # sort_merge_overhead_factor and pointer_build_factor aside, every
-    # constant above is now measured; the overhead factor is structural
-    # (python sweep vs blocked kernels) and keeps its default.
     return stamp(profile)
 
 

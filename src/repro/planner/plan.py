@@ -27,8 +27,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.cost_model import (
     predict_kdb_candidates,
     predict_kdb_candidates_cross,
-    predict_sort_merge_candidates,
-    predict_sort_merge_candidates_cross,
     split_depth,
 )
 from repro.errors import InvalidParameterError
@@ -44,10 +42,8 @@ __all__ = [
 #: Every strategy the planner knows how to score, in display order.
 ALL_STRATEGIES = (
     "serial",
-    "pointer",
     "parallel",
     "external",
-    "sort-merge",
     "delta-probe",
     "snapshot-reuse",
 )
@@ -146,6 +142,8 @@ class ExecutionPlan:
 
 def _traversal_visits(n: int, dims: int, eps: float, leaf_size: int) -> float:
     """Rough node-pair visit count: leaves times bounded adjacency fan-out."""
+    if n < 1:
+        return 0.0
     leaves = max(1.0, n / max(1, leaf_size))
     k = split_depth(n, eps, leaf_size, dims)
     return leaves * (3.0 ** min(k, 3))
@@ -221,19 +219,14 @@ def plan_execution(
         kdb_candidates = predict_kdb_candidates(
             max(n, 2), dims, eps, leaf_size=leaf_size
         )
-        sm_candidates = predict_sort_merge_candidates(max(n, 2), eps)
     else:
         kdb_candidates = predict_kdb_candidates_cross(
             max(n, 1), max(n2, 1), dims, eps, leaf_size=leaf_size
-        )
-        sm_candidates = predict_sort_merge_candidates_cross(
-            max(n, 1), max(n2, 1), eps
         )
     if sketch_estimate:
         # The sketch estimates *output* pairs, a lower bound on
         # candidates actually checked.
         kdb_candidates = max(kdb_candidates, float(sketch_estimate))
-        sm_candidates = max(sm_candidates, float(sketch_estimate))
 
     visits = _traversal_visits(total, dims, eps, leaf_size)
     check = profile.candidate_check_seconds * dims
@@ -265,12 +258,6 @@ def plan_execution(
         detail=f"candidates~{kdb_candidates:.0f}",
     )
     add(
-        "pointer",
-        profile.pointer_build_factor * build_cost + traverse_cost + kernel_cost,
-        feasible=fits_in_memory,
-        detail=f"build x{profile.pointer_build_factor:.0f}",
-    )
-    add(
         "parallel",
         build_cost
         + traverse_cost
@@ -289,13 +276,6 @@ def plan_execution(
         + _EXTERNAL_PASSES * pages * profile.page_io_seconds,
         feasible=total >= 2,
         detail=f"pages~{pages}",
-    )
-    add(
-        "sort-merge",
-        total * math.log2(max(2, total)) * profile.sort_point_seconds
-        + sm_candidates * check * profile.sort_merge_overhead_factor,
-        feasible=fits_in_memory,
-        detail=f"candidates~{sm_candidates:.0f}",
     )
     if delta_size is not None:
         fraction = min(1.0, delta_size / max(1, total))

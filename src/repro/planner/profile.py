@@ -12,7 +12,7 @@ caches the result as JSON, fingerprinted to the host so a profile
 copied to different hardware is ignored rather than trusted.
 
 This module deliberately imports nothing from :mod:`repro.core`: the
-kernel work-queue (:class:`~repro.core.backends.LeafBatchQueue`) reads
+kernel work-queue (:class:`~repro.core.kernels.LeafBatchQueue`) reads
 its auto-tuned tile size from the active profile, so the dependency
 must point this way only.
 """
@@ -49,8 +49,8 @@ PROFILE_VERSION = 1
 #: workspace file so calibration survives between steps).
 PROFILE_ENV_VAR = "REPRO_COST_PROFILE"
 
-#: Mirror of :data:`repro.core.backends.DEFAULT_TILE_ROWS` — kept as a
-#: literal because backends resolves its tile size *from* this module.
+#: Mirror of :data:`repro.core.kernels.DEFAULT_TILE_ROWS` — kept as a
+#: literal because kernels resolves its tile size *from* this module.
 _DEFAULT_TILE_ROWS = 65_536
 
 
@@ -89,22 +89,9 @@ class CostProfile:
             pool (fork/spawn plus the first round-trip).
         build_point_seconds: per point of the flat (radix) tree build,
             sort included.
-        pointer_build_factor: multiplier of the flat build cost when the
-            per-node pointer build runs instead (E17 measures 16-21x).
-        sort_point_seconds: per point per ``log2 n`` of a plain numpy
-            sort — the cost model of the sort-merge baseline's sort.
-        sort_merge_overhead_factor: multiplier on the sort-merge
-            baseline's per-candidate cost relative to the kernel path —
-            its windowed python sweep pays per-candidate python and
-            small-array overhead the blocked kernels amortize away, so
-            the realistic figure is tens, not units.  The crossover the
-            paper predicts (sort-merge wins at very small radii, where
-            its band filter alone kills nearly everything) survives:
-            with the default 40, sort-merge plans cheaper only once the
-            per-coordinate band drops below about 0.025.
         snapshot_byte_seconds: per byte of mapping and validating a
             persisted snapshot (memmap open + checksum, amortized).
-        tile_rows: auto-tuned :class:`~repro.core.backends.LeafBatchQueue`
+        tile_rows: auto-tuned :class:`~repro.core.kernels.LeafBatchQueue`
             tile capacity chosen by the calibration sweep.
         host: :func:`host_fingerprint` of the measuring machine; empty
             for the built-in defaults.
@@ -119,9 +106,6 @@ class CostProfile:
     worker_dispatch_seconds: float = 2.0e-3
     pool_startup_seconds: float = 0.35
     build_point_seconds: float = 5.0e-7
-    pointer_build_factor: float = 18.0
-    sort_point_seconds: float = 1.5e-8
-    sort_merge_overhead_factor: float = 40.0
     snapshot_byte_seconds: float = 2.0e-10
     tile_rows: int = _DEFAULT_TILE_ROWS
     host: str = ""
@@ -241,7 +225,7 @@ def set_active_profile(profile: Optional[CostProfile]) -> None:
 
 
 def active_tile_rows() -> int:
-    """Tile capacity for :class:`~repro.core.backends.LeafBatchQueue`."""
+    """Tile capacity for :class:`~repro.core.kernels.LeafBatchQueue`."""
     return active_profile().tile_rows
 
 

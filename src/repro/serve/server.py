@@ -31,7 +31,6 @@ import asyncio
 import time
 from typing import Any, Dict, Optional, Set
 
-from repro.core.backends import resolve_kernel_backend
 from repro.core.config import JoinSpec
 from repro.errors import AdmissionError, InvalidParameterError, ReproError
 from repro.obs import trace
@@ -52,9 +51,8 @@ from repro.serve.sessions import SessionManager
 __all__ = ["JoinServer"]
 
 #: JoinSpec fields an ``attach`` request may set.  Deliberately the
-#: structural + streaming knobs (plus the ``kernel_backend`` runtime
-#: knob, which defaults to the server-wide setting); operational fields
-#: like ``persist_path`` have dedicated request fields.
+#: structural + streaming knobs; operational fields like
+#: ``persist_path`` have dedicated request fields.
 _ATTACH_SPEC_FIELDS = (
     "epsilon",
     "metric",
@@ -62,7 +60,6 @@ _ATTACH_SPEC_FIELDS = (
     "delta_threshold",
     "sketch_bits",
     "admission_threshold",
-    "kernel_backend",
 )
 
 
@@ -79,20 +76,12 @@ class JoinServer:
         max_inflight: int = 8,
         max_pending: int = 64,
         default_deadline: Optional[float] = None,
-        default_kernel_backend: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         manager: Optional[SessionManager] = None,
     ):
         self.host = host
         self.port = port
         self.default_deadline = default_deadline
-        # Applied to attach requests that do not name a backend; the
-        # eager resolve validates the value and logs the "auto" choice
-        # once at server construction instead of on the first query.
-        self.default_kernel_backend = default_kernel_backend
-        self.resolved_kernel_backend = resolve_kernel_backend(
-            default_kernel_backend
-        ).name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.manager = (
             manager
@@ -217,12 +206,7 @@ class JoinServer:
             deadline = (
                 self.default_deadline if deadline is None else float(deadline) / 1e3
             )
-            with trace.span(
-                "serve.request",
-                op=op,
-                tenant=request.get("tenant"),
-                kernel_backend=self._request_backend(request),
-            ):
+            with trace.span("serve.request", op=op, tenant=request.get("tenant")):
                 handler = self._dispatch(request, op)
                 if deadline is not None:
                     response = await asyncio.wait_for(handler, timeout=deadline)
@@ -259,24 +243,6 @@ class JoinServer:
     def _dispatch(self, request: Dict[str, Any], op: str):
         return getattr(self, f"_op_{op}")(request)
 
-    def _request_backend(self, request: Dict[str, Any]) -> str:
-        """Resolved kernel backend serving this request's tenant.
-
-        Attached tenants report their own spec's backend; everything
-        else (attach itself, ping) reports the server default.  Recorded
-        on the ``serve.request`` span and as a
-        ``serve.kernel_backend.<name>`` marker gauge so traces show
-        which backend ran each request.
-        """
-        name = request.get("tenant")
-        backend = self.resolved_kernel_backend
-        if isinstance(name, str) and name in self.manager:
-            backend = resolve_kernel_backend(
-                self.manager.get(name).spec.kernel_backend
-            ).name
-        self.metrics.gauge(f"serve.kernel_backend.{backend}").set(1.0)
-        return backend
-
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
@@ -302,7 +268,6 @@ class JoinServer:
         if spec_fields:
             if "epsilon" not in spec_fields:
                 raise ProtocolError("attach spec fields require 'epsilon'")
-            spec_fields.setdefault("kernel_backend", self.default_kernel_backend)
             spec = JoinSpec(**spec_fields)
         session = self.manager.attach(
             name,

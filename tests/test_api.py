@@ -41,6 +41,19 @@ def test_every_algorithm_two_set_join(algorithm, small_uniform):
     assert_same_pairs(pairs, expected, f"{algorithm} two-set")
 
 
+@pytest.mark.parametrize(
+    "algorithm", sorted(ALGORITHMS) + ["index-nested-loop"]
+)
+def test_two_set_dimensionality_mismatch_rejected(algorithm):
+    """R with d=3 against S with d=4 is an error, never an empty answer."""
+    rng = np.random.default_rng(1)
+    with pytest.raises(InvalidParameterError, match="same dimensionality"):
+        similarity_join(
+            rng.random((40, 3)), rng.random((30, 4)), epsilon=0.2,
+            algorithm=algorithm,
+        )
+
+
 def test_metric_parameter_forwarded(small_uniform):
     spec = JoinSpec(epsilon=0.2, metric="linf")
     expected = oracle_self_pairs(small_uniform, spec)

@@ -2,9 +2,12 @@
 
 The contract under test: the flat build (radix cell-coding + stable
 whole-array sorts + CSR leaf layout) produces the *same leaf partition* as the
-pointer build and **byte-identical** join output through every engine —
-serial, parallel (in-process and pooled, including under injected
-faults), and external-memory.  Plus the cross-epsilon structure reuse of
+pointer build, and the flat frontier gives **byte-identical** join output
+and equal counters to the recursive pointer traversal (the reference,
+reached through :func:`_oracles.pointer_self_join` /
+:func:`_oracles.pointer_join`) through every engine — serial, parallel
+(in-process and pooled, including under injected faults), and
+external-memory.  Plus the cross-epsilon structure reuse of
 :class:`~repro.core.flat_build.TreeCache` / :func:`repro.epsilon_sweep`.
 """
 
@@ -13,8 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import assert_same_pairs, oracle_self_pairs
-from repro import JoinSpec, epsilon_sweep, similarity_join
+from _oracles import (
+    assert_same_pairs,
+    oracle_self_pairs,
+    pointer_join,
+    pointer_self_join,
+)
+from repro import JoinSpec, epsilon_sweep
 from repro.core.epsilon_kdb import EpsilonKdbTree, Grid
 from repro.core.external import external_self_join
 from repro.core.flat_build import FlatEpsilonKdbTree, TreeCache
@@ -27,9 +35,9 @@ from repro.metrics import WeightedLpMetric
 from repro.obs import MetricsRegistry
 
 
-def _spec(build, **kwargs):
+def _spec(**kwargs):
     kwargs.setdefault("epsilon", 0.25)
-    return JoinSpec(build=build, **kwargs)
+    return JoinSpec(**kwargs)
 
 
 def _pair_bytes(result):
@@ -155,48 +163,42 @@ class TestLeafPartition:
 class TestSerialEquivalence:
     @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
     def test_self_join_identical(self, metric, small_clusters):
-        flat = epsilon_kdb_self_join(small_clusters, _spec("flat", metric=metric))
-        pointer = epsilon_kdb_self_join(small_clusters, _spec("pointer", metric=metric))
+        flat = epsilon_kdb_self_join(small_clusters, _spec(metric=metric))
+        pointer = pointer_self_join(small_clusters, _spec(metric=metric))
         assert len(flat.pairs) > 0
         assert _pair_bytes(flat) == _pair_bytes(pointer)
 
     def test_two_set_join_identical(self, rng):
         r = rng.random((700, 6))
         s = rng.random((800, 6)) * 1.1 - 0.05
-        flat = epsilon_kdb_join(r, s, _spec("flat"))
-        pointer = epsilon_kdb_join(r, s, _spec("pointer"))
+        flat = epsilon_kdb_join(r, s, _spec())
+        pointer = pointer_join(r, s, _spec())
         assert len(flat.pairs) > 0
         assert _pair_bytes(flat) == _pair_bytes(pointer)
 
-    def test_auto_resolves_to_flat(self):
-        assert JoinSpec(epsilon=0.1).resolved_build() == "flat"
-        assert JoinSpec(epsilon=0.1, build="pointer").resolved_build() == "pointer"
-
-    def test_invalid_build_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            JoinSpec(epsilon=0.1, build="fancy")
+    def test_auto_resolves_to_flat(self, small_uniform):
+        """With no pre-built tree the join builds a flat tree."""
+        result = epsilon_kdb_self_join(small_uniform, JoinSpec(epsilon=0.1))
+        assert result.stats.build_nodes > 0
 
     def test_pruning_off_identical(self, small_uniform):
-        flat = epsilon_kdb_self_join(
-            small_uniform, _spec("flat", adjacency_pruning=False)
-        )
-        pointer = epsilon_kdb_self_join(
-            small_uniform, _spec("pointer", adjacency_pruning=False)
-        )
+        spec = _spec(adjacency_pruning=False)
+        flat = epsilon_kdb_self_join(small_uniform, spec)
+        pointer = pointer_self_join(small_uniform, spec)
         assert _pair_bytes(flat) == _pair_bytes(pointer)
 
     def test_custom_split_order_and_sort_dim(self, small_uniform):
         kwargs = dict(split_order=[3, 1, 0, 2, 7, 6, 5, 4], sort_dim=2)
-        flat = epsilon_kdb_self_join(small_uniform, _spec("flat", **kwargs))
-        pointer = epsilon_kdb_self_join(small_uniform, _spec("pointer", **kwargs))
+        flat = epsilon_kdb_self_join(small_uniform, _spec(**kwargs))
+        pointer = pointer_self_join(small_uniform, _spec(**kwargs))
         assert _pair_bytes(flat) == _pair_bytes(pointer)
 
     def test_build_stats_populated(self, small_uniform):
-        result = epsilon_kdb_self_join(small_uniform, _spec("flat"))
+        result = epsilon_kdb_self_join(small_uniform, _spec())
         assert result.stats.build_nodes > 0
         assert result.stats.build_sort_seconds > 0.0
         assert result.stats.structure_cache_hits == 0
-        pointer = epsilon_kdb_self_join(small_uniform, _spec("pointer"))
+        pointer = pointer_self_join(small_uniform, _spec())
         assert pointer.stats.build_nodes == 0
 
     @pytest.mark.parametrize("leaf_size", [None, 4], ids=["leaf-default", "deep"])
@@ -213,13 +215,14 @@ class TestSerialEquivalence:
         kwargs = dict(metric=_COUNTER_METRICS[metric], adjacency_pruning=pruning)
         if leaf_size is not None:
             kwargs["leaf_size"] = leaf_size
+        spec = _spec(**kwargs)
         if kind == "self":
-            flat = epsilon_kdb_self_join(points, _spec("flat", **kwargs))
-            pointer = epsilon_kdb_self_join(points, _spec("pointer", **kwargs))
+            flat = epsilon_kdb_self_join(points, spec)
+            pointer = pointer_self_join(points, spec)
         else:
             r, s = points[::2], points[1::3] + 0.01
-            flat = epsilon_kdb_join(r, s, _spec("flat", **kwargs))
-            pointer = epsilon_kdb_join(r, s, _spec("pointer", **kwargs))
+            flat = epsilon_kdb_join(r, s, spec)
+            pointer = pointer_join(r, s, spec)
         assert _counters(flat) == _counters(pointer)
         assert _pair_bytes(flat) == _pair_bytes(pointer)
 
@@ -229,14 +232,14 @@ class TestSerialEquivalence:
         traversal: their counters sum to the serial join's, less the
         one root visit no range makes."""
         executor = ParallelJoinExecutor(
-            _spec("flat", n_workers=3), use_processes=False, serial_threshold=0
+            _spec(n_workers=3), use_processes=False, serial_threshold=0
         )
         if kind == "self":
-            serial = epsilon_kdb_self_join(small_clusters, _spec("flat"))
+            serial = epsilon_kdb_self_join(small_clusters, _spec())
             parallel = executor.self_join(small_clusters)
         else:
             r, s = small_clusters[::2], small_clusters[1::3] + 0.01
-            serial = epsilon_kdb_join(r, s, _spec("flat"))
+            serial = epsilon_kdb_join(r, s, _spec())
             parallel = executor.join(r, s)
         assert parallel.stats.stripes > 1
         assert parallel.stats.node_pairs_visited + 1 == serial.stats.node_pairs_visited
@@ -248,7 +251,7 @@ class TestSerialEquivalence:
         assert _pair_bytes(parallel) == _pair_bytes(serial)
 
     def test_empty_and_tiny_inputs(self):
-        spec = _spec("flat")
+        spec = _spec()
         assert epsilon_kdb_self_join(np.empty((0, 3)), spec).count == 0
         assert epsilon_kdb_self_join(np.zeros((1, 3)), spec).count == 0
         two = epsilon_kdb_self_join(np.zeros((2, 3)), spec)
@@ -257,8 +260,8 @@ class TestSerialEquivalence:
 
 class TestEngineEquivalence:
     def test_parallel_in_process_identical(self, small_clusters):
-        spec = _spec("flat", n_workers=3)
-        serial = epsilon_kdb_self_join(small_clusters, _spec("pointer"))
+        spec = _spec(n_workers=3)
+        serial = pointer_self_join(small_clusters, _spec())
         result = ParallelJoinExecutor(
             spec, use_processes=False, serial_threshold=0
         ).self_join(small_clusters)
@@ -267,8 +270,8 @@ class TestEngineEquivalence:
         assert result.stats.build_nodes > 0
 
     def test_parallel_pooled_identical(self, small_clusters):
-        spec = _spec("flat", n_workers=2)
-        serial = epsilon_kdb_self_join(small_clusters, _spec("pointer"))
+        spec = _spec(n_workers=2)
+        serial = pointer_self_join(small_clusters, _spec())
         result = ParallelJoinExecutor(spec, serial_threshold=0).self_join(
             small_clusters
         )
@@ -277,15 +280,15 @@ class TestEngineEquivalence:
     def test_parallel_two_set_identical(self, rng):
         r = rng.random((600, 5))
         s = rng.random((500, 5))
-        serial = epsilon_kdb_join(r, s, _spec("pointer"))
+        serial = pointer_join(r, s, _spec())
         result = ParallelJoinExecutor(
-            _spec("flat", n_workers=3), use_processes=False, serial_threshold=0
+            _spec(n_workers=3), use_processes=False, serial_threshold=0
         ).join(r, s)
         assert _pair_bytes(result) == _pair_bytes(serial)
 
     def test_parallel_fault_injection_identical(self, small_clusters):
-        spec = _spec("flat", n_workers=3)
-        serial = epsilon_kdb_self_join(small_clusters, _spec("pointer"))
+        spec = _spec(n_workers=3)
+        serial = pointer_self_join(small_clusters, _spec())
         plan = FaultPlan(seed=7).crash_task(0).crash_task(2)
         result = ParallelJoinExecutor(
             spec,
@@ -297,28 +300,11 @@ class TestEngineEquivalence:
         assert _pair_bytes(result) == _pair_bytes(serial)
         assert result.stats.tasks_retried > 0
 
-    def test_pointer_mode_through_parallel(self, small_clusters):
-        spec = _spec("pointer", n_workers=3)
-        serial = epsilon_kdb_self_join(small_clusters, _spec("pointer"))
-        result = ParallelJoinExecutor(
-            spec, use_processes=False, serial_threshold=0
-        ).self_join(small_clusters)
-        assert _pair_bytes(result) == _pair_bytes(serial)
-
     def test_external_identical(self, small_clusters):
-        serial = epsilon_kdb_self_join(small_clusters, _spec("pointer"))
-        flat = external_self_join(small_clusters, _spec("flat"), memory_points=400)
-        pointer = external_self_join(
-            small_clusters, _spec("pointer"), memory_points=400
-        )
+        serial = pointer_self_join(small_clusters, _spec())
+        external = external_self_join(small_clusters, _spec(), memory_points=400)
         expected = np.unique(serial.pairs, axis=0)
-        assert np.array_equal(np.unique(flat.pairs, axis=0), expected)
-        assert flat.pairs.tobytes() == pointer.pairs.tobytes()
-
-    def test_similarity_join_kwarg(self, small_uniform):
-        flat = similarity_join(small_uniform, epsilon=0.2, build="flat")
-        pointer = similarity_join(small_uniform, epsilon=0.2, build="pointer")
-        assert np.array_equal(flat, pointer)
+        assert np.array_equal(np.unique(external.pairs, axis=0), expected)
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +312,7 @@ class TestEngineEquivalence:
 # ----------------------------------------------------------------------
 class TestTreeReuse:
     def test_prebuilt_flat_tree_reused(self, small_uniform):
-        spec = _spec("flat", epsilon=0.2)
+        spec = _spec(epsilon=0.2)
         tree = FlatEpsilonKdbTree.build(small_uniform, spec)
         fresh = epsilon_kdb_self_join(small_uniform, spec)
         reused = epsilon_kdb_self_join(small_uniform, spec, tree=tree)
@@ -335,52 +321,65 @@ class TestTreeReuse:
         assert reused.stats.build_sort_seconds == 0.0
 
     def test_prebuilt_tree_smaller_epsilon_ok(self, small_uniform):
-        tree = FlatEpsilonKdbTree.build(small_uniform, _spec("flat", epsilon=0.3))
-        narrower = _spec("flat", epsilon=0.2)
+        tree = FlatEpsilonKdbTree.build(small_uniform, _spec(epsilon=0.3))
+        narrower = _spec(epsilon=0.2)
         reused = epsilon_kdb_self_join(small_uniform, narrower, tree=tree)
         fresh = epsilon_kdb_self_join(small_uniform, narrower)
         assert _pair_bytes(reused) == _pair_bytes(fresh)
 
     def test_prebuilt_tree_larger_epsilon_rejected(self, small_uniform):
-        tree = FlatEpsilonKdbTree.build(small_uniform, _spec("flat", epsilon=0.1))
+        tree = FlatEpsilonKdbTree.build(small_uniform, _spec(epsilon=0.1))
         with pytest.raises(InvalidParameterError, match="rebuild the tree"):
-            epsilon_kdb_self_join(small_uniform, _spec("flat", epsilon=0.2), tree=tree)
+            epsilon_kdb_self_join(small_uniform, _spec(epsilon=0.2), tree=tree)
+
+    @pytest.mark.parametrize("tree_cls", [FlatEpsilonKdbTree, EpsilonKdbTree])
+    def test_prebuilt_tree_over_other_points_rejected(self, small_uniform, tree_cls):
+        """A tree over a different point count or dimensionality would
+        emit ids outside the input (or crash), so the join refuses it."""
+        spec = _spec(epsilon=0.2)
+        points = small_uniform[:50]
+        tree = tree_cls.build(points, spec)
+        with pytest.raises(InvalidParameterError, match="pre-built tree"):
+            epsilon_kdb_self_join(small_uniform[:10], spec, tree=tree)
+        wider = tree_cls.build(np.hstack([points, points[:, :1]]), spec)
+        with pytest.raises(InvalidParameterError, match="pre-built tree"):
+            epsilon_kdb_self_join(points, spec, tree=wider)
 
     def test_cache_hit_on_smaller_epsilon(self, small_uniform):
         cache = TreeCache()
         first = epsilon_kdb_self_join(
-            small_uniform, _spec("flat", epsilon=0.3), structure_cache=cache
+            small_uniform, _spec(epsilon=0.3), structure_cache=cache
         )
         second = epsilon_kdb_self_join(
-            small_uniform, _spec("flat", epsilon=0.2), structure_cache=cache
+            small_uniform, _spec(epsilon=0.2), structure_cache=cache
         )
         assert first.stats.structure_cache_hits == 0
         assert second.stats.structure_cache_hits == 1
         assert second.stats.build_sort_seconds == 0.0
         assert cache.hits == 1 and cache.misses == 1
-        fresh = epsilon_kdb_self_join(small_uniform, _spec("flat", epsilon=0.2))
+        fresh = epsilon_kdb_self_join(small_uniform, _spec(epsilon=0.2))
         assert _pair_bytes(second) == _pair_bytes(fresh)
 
     def test_cache_rebuilds_on_larger_epsilon(self, small_uniform):
         cache = TreeCache()
         epsilon_kdb_self_join(
-            small_uniform, _spec("flat", epsilon=0.1), structure_cache=cache
+            small_uniform, _spec(epsilon=0.1), structure_cache=cache
         )
         result = epsilon_kdb_self_join(
-            small_uniform, _spec("flat", epsilon=0.3), structure_cache=cache
+            small_uniform, _spec(epsilon=0.3), structure_cache=cache
         )
         assert result.stats.structure_cache_hits == 0
         assert cache.misses == 2
-        fresh = epsilon_kdb_self_join(small_uniform, _spec("flat", epsilon=0.3))
+        fresh = epsilon_kdb_self_join(small_uniform, _spec(epsilon=0.3))
         assert _pair_bytes(result) == _pair_bytes(fresh)
 
     def test_cache_misses_on_different_data(self, rng):
         cache = TreeCache()
         a = rng.random((300, 4))
         b = rng.random((300, 4))
-        epsilon_kdb_self_join(a, _spec("flat", epsilon=0.3), structure_cache=cache)
+        epsilon_kdb_self_join(a, _spec(epsilon=0.3), structure_cache=cache)
         result = epsilon_kdb_self_join(
-            b, _spec("flat", epsilon=0.2), structure_cache=cache
+            b, _spec(epsilon=0.2), structure_cache=cache
         )
         assert result.stats.structure_cache_hits == 0
         assert len(cache) == 2
@@ -461,7 +460,7 @@ class TestTreeReuse:
                 points, [0.3, 0.2], cache=cache, return_stats=True
             )
             for eps, result in zip([0.3, 0.2], results):
-                expected = oracle_self_pairs(points, _spec("flat", epsilon=eps))
+                expected = oracle_self_pairs(points, _spec(epsilon=eps))
                 assert_same_pairs(result.pairs, expected, f"sweep eps={eps}")
             assert aggregate.structure_cache_hits == 1  # within-sweep only
         assert cache.misses == 2  # one build per distinct point set
@@ -478,14 +477,14 @@ class TestTreeReuse:
         assert sum(hits) == 2  # all but the coarsest build hit the cache
         assert hits[1] == 0  # the largest epsilon pays the one build
         for eps, result in zip(epsilons, results):
-            fresh = epsilon_kdb_self_join(small_uniform, _spec("flat", epsilon=eps))
+            fresh = epsilon_kdb_self_join(small_uniform, _spec(epsilon=eps))
             assert _pair_bytes(result) == _pair_bytes(fresh)
 
     def test_epsilon_sweep_less_build_time_than_solo(self, small_clusters):
         epsilons = [0.1, 0.15, 0.2, 0.25]
         swept = epsilon_sweep(small_clusters, epsilons)
         solo = [
-            epsilon_kdb_self_join(small_clusters, _spec("flat", epsilon=eps))
+            epsilon_kdb_self_join(small_clusters, _spec(epsilon=eps))
             for eps in epsilons
         ]
         assert sum(r.stats.build_sort_seconds for r in swept) < sum(

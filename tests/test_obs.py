@@ -315,7 +315,7 @@ class TestMetrics:
             pairs_emitted=3,
             degraded_to_serial=True,
             worker_seconds=[0.1, 0.2],
-            kernel_backend="numpy",
+            planned_strategy="serial",
         )
         registry = MetricsRegistry()
         registry.ingest_stats(stats)
@@ -328,7 +328,7 @@ class TestMetrics:
         }
         assert snapshot["join.worker_seconds"]["count"] == 2
         # string fields surface as a <field>.<value> marker gauge
-        assert snapshot["join.kernel_backend.numpy"] == {
+        assert snapshot["join.planned_strategy.serial"] == {
             "type": "gauge",
             "value": 1.0,
         }
@@ -337,7 +337,7 @@ class TestMetrics:
         for name, spec in JoinStats.__dataclass_fields__.items():
             if name == "cascade_survivors":
                 continue
-            # empty string fields (kernel_backend, planned_strategy)
+            # empty string fields (planned_strategy)
             # surface only as non-empty <field>.<value> marker gauges
             if spec.type in ("str", str):
                 continue

@@ -311,6 +311,30 @@ class TestSessionPersistence:
         assert delta.ids.tolist() == [120, 121, 122]
         reopened.close()
 
+    def test_reopen_session_with_legacy_build_key(self, tmp_path):
+        """Snapshots written while the spec still had a tree-build
+        selector carry ``"build"`` in their structural spec; they reopen
+        (with or without a caller spec) and the key is dropped."""
+        path = _session_dir(tmp_path)
+        rng = np.random.default_rng(5)
+        spec = JoinSpec(epsilon=0.3, persist_path=path)
+        session = IncrementalJoin(spec)
+        session.insert(rng.random((40, 3)))
+        session.compact()
+        expected = session.current_pairs()
+        session.close()
+        seq, snap_path = list_snapshots(path)[-1]
+        meta, arrays = load_snapshot(snap_path)
+        meta["spec"]["build"] = "auto"
+        write_snapshot(path, seq, meta, arrays)
+
+        for given in (None, JoinSpec(epsilon=0.3)):
+            reopened = IncrementalJoin.open(path, spec=given)
+            assert "build" not in reopened.spec.structural_dict()
+            assert reopened.spec.fingerprint() == spec.fingerprint()
+            assert_same_pairs(reopened.current_pairs(), expected, "legacy reopen")
+            reopened.close()
+
     def test_empty_delete_journals_nothing(self, tmp_path):
         path = _session_dir(tmp_path)
         session = IncrementalJoin(JoinSpec(epsilon=0.3, persist_path=path))

@@ -98,6 +98,22 @@ class TestCostProfile:
         path.write_text(json.dumps(data))
         assert load_profile(str(path)) == CostProfile()
 
+    def test_profile_with_removed_fields_loads(self, tmp_path):
+        """A profile written before the pointer and sort-merge planner
+        strategies were removed still loads; their constants are
+        skipped and the measured ones survive."""
+        path = tmp_path / "profile.json"
+        data = stamp(CostProfile(node_visit_seconds=3.5e-6)).as_dict()
+        data.update(
+            pointer_build_factor=18.0,
+            sort_point_seconds=1.5e-8,
+            sort_merge_overhead_factor=40.0,
+        )
+        path.write_text(json.dumps(data))
+        loaded = load_profile(str(path))
+        assert loaded.source == "calibrated"
+        assert loaded.node_visit_seconds == 3.5e-6
+
     def test_validation_rejects_nonpositive_constants(self):
         with pytest.raises(InvalidParameterError):
             CostProfile(candidate_check_seconds=0.0)
@@ -128,9 +144,6 @@ def synthetic(**overrides):
         worker_dispatch_seconds=1.0e-3,
         pool_startup_seconds=0.5,
         build_point_seconds=5.0e-7,
-        pointer_build_factor=18.0,
-        sort_point_seconds=1.5e-8,
-        sort_merge_overhead_factor=40.0,
         snapshot_byte_seconds=2.0e-10,
         source="synthetic",
     )
@@ -155,12 +168,6 @@ class TestDecisionMatrix:
         plan = self.plan(synthetic(), n=4000, dims=10)
         assert plan.chosen == "serial"
 
-    def test_pointer_wins_when_pointer_build_is_cheaper(self):
-        # Physically the pointer build is slower; a sub-1 factor is the
-        # synthetic lever that proves the planner ranks by the numbers.
-        plan = self.plan(synthetic(pointer_build_factor=0.01))
-        assert plan.chosen == "pointer"
-
     def test_parallel_wins_when_kernel_dominates(self):
         plan = self.plan(
             synthetic(
@@ -177,13 +184,6 @@ class TestDecisionMatrix:
         assert plan.chosen == "external"
         for cost in plan.costs:
             assert cost.feasible == (cost.strategy == "external")
-
-    def test_sort_merge_wins_when_its_sweep_is_free(self):
-        plan = self.plan(
-            synthetic(sort_merge_overhead_factor=1.0e-9,
-                      sort_point_seconds=1.0e-12)
-        )
-        assert plan.chosen == "sort-merge"
 
     def test_delta_probe_wins_for_small_deltas(self):
         plan = self.plan(synthetic(), delta_size=50)
@@ -203,15 +203,17 @@ class TestDecisionMatrix:
         assert tuple(c.strategy for c in plan.costs) == ALL_STRATEGIES
 
     def test_forced_strategy_pins_choice_but_scores_everything(self):
-        plan = self.plan(synthetic(), forced="sort-merge")
-        assert plan.chosen == "sort-merge"
-        assert plan.forced == "sort-merge"
+        plan = self.plan(synthetic(), forced="external")
+        assert plan.chosen == "external"
+        assert plan.forced == "external"
         assert plan.cost_of("serial").predicted_seconds > 0
         assert not plan.cost_of("serial").chosen
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             self.plan(synthetic(), n=-1)
+        # An empty input is planned, not rejected.
+        assert self.plan(synthetic(), n=0).chosen == "serial"
         with pytest.raises(InvalidParameterError):
             self.plan(synthetic(), dims=0)
         with pytest.raises(InvalidParameterError):
@@ -239,7 +241,7 @@ class TestDecisionMatrix:
 # ---------------------------------------------------------------------------
 # engine equivalence through the facade
 # ---------------------------------------------------------------------------
-ENGINES = ("serial", "pointer", "parallel", "external", "sort-merge")
+ENGINES = ("serial", "parallel", "external")
 
 
 class TestEngineEquivalence:
@@ -274,14 +276,27 @@ class TestEngineEquivalence:
     def test_forced_engine_recorded_in_stats(self):
         points = uniform_points(300, 6, seed=9)
         result = similarity_join(
-            points, epsilon=0.2, engine="sort-merge", return_result=True
+            points, epsilon=0.2, engine="external", return_result=True
         )
-        assert result.stats.planned_strategy == "sort-merge"
-        assert result.plan.forced == "sort-merge"
+        assert result.stats.planned_strategy == "external"
+        assert result.plan.forced == "external"
 
     def test_spec_rejects_unknown_engine(self):
         with pytest.raises(ConfigError):
             JoinSpec(epsilon=0.1, engine="quantum")
+        for removed in ("pointer", "sort-merge"):
+            with pytest.raises(ConfigError):
+                JoinSpec(epsilon=0.1, engine=removed)
+
+    @pytest.mark.parametrize("engine", ("auto",) + ENGINES)
+    def test_empty_self_join_returns_no_pairs(self, engine):
+        result = similarity_join(
+            np.empty((0, 3)), epsilon=0.1, engine=engine, return_result=True
+        )
+        assert result.pairs.shape == (0, 2)
+        assert result.stats.planned_strategy == (
+            "serial" if engine == "auto" else engine
+        )
 
     def test_engine_only_plans_epsilon_kdb(self):
         points = uniform_points(100, 4, seed=0)

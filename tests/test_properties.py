@@ -259,9 +259,8 @@ def test_parallel_plan_covers_domain(points, eps, n_workers):
 @settings(max_examples=60, deadline=None)
 @given(points=point_arrays(max_n=120), eps=epsilons, n_workers=parallel_workers)
 def test_parallel_tasks_overlap_by_at_least_eps(points, eps, n_workers):
-    """Task k's window reaches at least band_width past its upper
-    boundary, and every stripe is at least band_width wide — together
-    the reason a qualifying pair never spans non-adjacent tasks."""
+    """Cells are band_width wide and every stripe spans at least one
+    cell, so a qualifying pair never spans non-adjacent stripes."""
     if len(points) == 0:
         return
     spec = JoinSpec(epsilon=eps)
@@ -270,24 +269,6 @@ def test_parallel_tasks_overlap_by_at_least_eps(points, eps, n_workers):
     assert plan.cell_width == spec.band_width
     for start, stop in plan.spans:
         assert (stop - start) * plan.cell_width >= spec.band_width
-    values = points[:, 0]
-    owners = plan.owner_of(values)
-    boundaries = plan.boundaries()
-    tasks = plan.task_indices(values)
-    for sid, members in enumerate(tasks):
-        member_owners = owners[members]
-        if sid < plan.n_stripes - 1:
-            # Everything the task holds beyond its own stripe lies inside
-            # the overlap band...
-            borrowed = members[member_owners != sid]
-            assert (values[borrowed] <= boundaries[sid] + plan.overlap).all()
-            # ...and everything inside the band is held by the task.
-            in_band = np.flatnonzero(
-                (owners > sid) & (values <= boundaries[sid] + plan.overlap)
-            )
-            assert set(in_band.tolist()) <= set(members.tolist())
-        else:
-            assert (member_owners == sid).all()
 
 
 @settings(max_examples=25, deadline=None)
