@@ -1,8 +1,8 @@
 """E14 — Stripe-parallel epsilon-kdB join: speedup vs worker count.
 
-The parallel executor partitions the join into overlapping stripes along
-the first split dimension and runs one serial epsilon-kdB join per
-stripe in a process pool.  This experiment sweeps the worker count on a
+The parallel executor groups the root children of one flat tree (the
+occupied cells of its first split dimension) into stripes and traverses
+each stripe's children in a process pool.  This experiment sweeps the worker count on a
 fixed self-join (default: 100k points, d=8) and records wall-clock
 speedup over the ``n_workers=1`` serial path, which the executor falls
 back to without spawning any processes.

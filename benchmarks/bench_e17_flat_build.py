@@ -1,4 +1,4 @@
-"""E17 — flat vectorized build vs the pointer build, and cross-epsilon reuse.
+"""E17 — flat vectorized build vs the pointer build, and an epsilon sweep.
 
 Extends E11's build-cost question: the paper's bet is that the ε-kdB
 tree is cheap enough to build per join, and the flat build (radix
@@ -23,8 +23,8 @@ of whole-array passes.  Measured here:
   per-node recursion, which is the fairer lower bound.
 * peak RSS of each build series, sampled by
   :class:`repro.obs.MemorySampler` and stamped into the results JSON;
-* an epsilon sweep through a :class:`~repro.core.flat_build.TreeCache`
-  vs rebuilding per threshold — the cross-epsilon structure-reuse claim.
+* an epsilon sweep with one fresh build per threshold, split into
+  build and total time.
 
 Usage::
 
@@ -41,9 +41,8 @@ import time
 import pytest
 
 from _harness import clustered, scale, write_record
-from repro import JoinSpec, TreeCache, epsilon_sweep
+from repro import JoinSpec, epsilon_sweep
 from repro.analysis import Table, format_seconds, format_si
-from repro.core import epsilon_kdb_self_join
 from repro.core.epsilon_kdb import EpsilonKdbTree
 from repro.core.flat_build import FlatEpsilonKdbTree
 from repro.obs import MemorySampler
@@ -131,37 +130,17 @@ def measure(n: int, repeats: int = REPEATS):
 
 
 def measure_sweep(n: int):
-    """Epsilon sweep: shared TreeCache vs one fresh build per threshold."""
+    """Epsilon sweep: one fresh flat build per threshold."""
     points = clustered(n, DIMS)
-
     started = time.perf_counter()
-    cache = TreeCache()
-    swept = epsilon_sweep(points, SWEEP_EPSILONS, cache=cache)
-    cached_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    solo = [
-        epsilon_kdb_self_join(points, JoinSpec(epsilon=eps))
-        for eps in SWEEP_EPSILONS
-    ]
-    solo_seconds = time.perf_counter() - started
-
-    for swept_result, solo_result in zip(swept, solo):
-        if swept_result.pairs.tobytes() != solo_result.pairs.tobytes():
-            raise AssertionError("cached sweep diverged from fresh builds")
-
-    cached_build = sum(r.build_seconds for r in swept)
-    solo_build = sum(r.build_seconds for r in solo)
+    swept = epsilon_sweep(points, SWEEP_EPSILONS)
+    total_seconds = time.perf_counter() - started
     return {
         "n": n,
         "epsilons": list(SWEEP_EPSILONS),
-        "structure_cache_hits": sum(
-            r.stats.structure_cache_hits for r in swept
-        ),
-        "cached_build_seconds": cached_build,
-        "solo_build_seconds": solo_build,
-        "cached_total_seconds": cached_seconds,
-        "solo_total_seconds": solo_seconds,
+        "pairs": [int(r.stats.pairs_emitted) for r in swept],
+        "build_seconds": sum(r.build_seconds for r in swept),
+        "total_seconds": total_seconds,
     }
 
 
@@ -201,14 +180,14 @@ def sweep(sizes=None, repeats: int = REPEATS):
             f"{row['speedup_vs_bulk']:.1f}x",
             format_si(row["flat_peak_rss_bytes"]) + "B",
         )
-    cache_row = measure_sweep(sizes[-1])
+    sweep_row = measure_sweep(sizes[-1])
     record = {
         "experiment": "e17_flat_build",
         "dims": DIMS,
         "epsilon": EPSILON,
         "repeats": repeats,
         "series": series,
-        "epsilon_sweep": cache_row,
+        "epsilon_sweep": sweep_row,
     }
     return table, record
 
@@ -240,12 +219,11 @@ def main() -> int:
         table, record = sweep()
     write_record(record, args.out or _default_out())
     table.print()
-    cache_row = record["epsilon_sweep"]
+    sweep_row = record["epsilon_sweep"]
     print(
-        f"epsilon sweep over {cache_row['epsilons']} at N={cache_row['n']}: "
-        f"{cache_row['structure_cache_hits']} cache hits, build "
-        f"{format_seconds(cache_row['cached_build_seconds'])} cached vs "
-        f"{format_seconds(cache_row['solo_build_seconds'])} fresh"
+        f"epsilon sweep over {sweep_row['epsilons']} at N={sweep_row['n']}: "
+        f"build {format_seconds(sweep_row['build_seconds'])} of "
+        f"{format_seconds(sweep_row['total_seconds'])} total"
     )
     return 0
 

@@ -154,7 +154,6 @@ def measure(base_n: int, batch_n: int, n_batches: int):
         "compactions": stats.compactions,
         "pairs_emitted": stats.pairs_emitted,
         "pairs_retracted": stats.pairs_retracted,
-        "structure_cache_hits": stats.structure_cache_hits,
         "estimator_bound": ESTIMATOR_BOUND,
         "max_estimate_ratio": max(
             (r["estimate_ratio"] for r in series if r["true_pairs"]),

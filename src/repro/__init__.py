@@ -63,7 +63,6 @@ from repro.core import (
     PairCollector,
     PairCounter,
     ParallelJoinExecutor,
-    TreeCache,
     UpdateDelta,
     apply_update_stream,
     epsilon_kdb_join,
@@ -425,7 +424,6 @@ __all__ = [
     "Grid",
     "EpsilonKdbTree",
     "FlatEpsilonKdbTree",
-    "TreeCache",
     "epsilon_kdb_self_join",
     "epsilon_kdb_join",
     "epsilon_sweep",

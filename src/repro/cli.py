@@ -568,7 +568,6 @@ _STAT_LABELS = {
     "workers_used": "worker processes",
     "build_nodes": "tree nodes built",
     "build_sort_seconds": "build sort time",
-    "structure_cache_hits": "structure cache hits",
     "updates_applied": "update batches applied",
     "delta_size": "delta buffer size",
     "pairs_retracted": "pairs retracted",

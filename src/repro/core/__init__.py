@@ -9,7 +9,7 @@ inspect the structure.
 from repro.core.config import JoinSpec
 from repro.core.epsilon_kdb import EpsilonKdbTree, Grid
 from repro.core.external import ExternalJoinReport, external_join, external_self_join
-from repro.core.flat_build import FlatEpsilonKdbTree, TreeCache
+from repro.core.flat_build import FlatEpsilonKdbTree
 from repro.core.incremental import (
     IncrementalJoin,
     JoinSizeSketch,
@@ -26,13 +26,7 @@ from repro.core.kernels import (
     build_kernel_context,
     plan_cascade,
 )
-from repro.core.parallel import (
-    ParallelJoinExecutor,
-    StripePlan,
-    parallel_join,
-    parallel_self_join,
-    plan_parallel_stripes,
-)
+from repro.core.parallel import ParallelJoinExecutor, parallel_join, parallel_self_join
 from repro.core.resilience import FaultPlan, retry_transient
 from repro.core.result import JoinResult, JoinStats, PairCollector, PairCounter
 from repro.core.sweep import epsilon_sweep
@@ -42,7 +36,6 @@ __all__ = [
     "Grid",
     "EpsilonKdbTree",
     "FlatEpsilonKdbTree",
-    "TreeCache",
     "epsilon_kdb_self_join",
     "epsilon_kdb_join",
     "epsilon_sweep",
@@ -61,10 +54,8 @@ __all__ = [
     "external_join",
     "ExternalJoinReport",
     "ParallelJoinExecutor",
-    "StripePlan",
     "parallel_self_join",
     "parallel_join",
-    "plan_parallel_stripes",
     "FaultPlan",
     "retry_transient",
     "PairCollector",

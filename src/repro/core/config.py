@@ -63,11 +63,6 @@ class JoinSpec:
         n_workers: process count for the parallel executor; ``None``
             means "decide at run time" (all available cores), ``1``
             forces the serial path.  Ignored by the serial entry points.
-        stripe_overlap: width of the boundary band each parallel stripe
-            borrows from its successor.  ``None`` means the minimum safe
-            width (the metric's per-coordinate bound, i.e. one grid
-            cell); anything smaller is rejected at plan time because it
-            would lose boundary pairs.
         task_timeout: per-stripe-task deadline in seconds for the
             parallel executor; a task attempt exceeding it is counted in
             ``JoinStats.tasks_timed_out`` and re-dispatched.  ``None``
@@ -139,7 +134,6 @@ class JoinSpec:
     sort_dim: Optional[int] = None
     adjacency_pruning: bool = True
     n_workers: Optional[int] = None
-    stripe_overlap: Optional[float] = None
     task_timeout: Optional[float] = None
     max_task_retries: int = 2
     cascade: str = "auto"
@@ -170,14 +164,6 @@ class JoinSpec:
                     f"n_workers must be >= 1, got {self.n_workers!r}"
                 )
             self.n_workers = int(self.n_workers)
-        if self.stripe_overlap is not None:
-            overlap = float(self.stripe_overlap)
-            if not np.isfinite(overlap) or overlap <= 0:
-                raise InvalidParameterError(
-                    "stripe_overlap must be a positive finite number, "
-                    f"got {self.stripe_overlap!r}"
-                )
-            self.stripe_overlap = overlap
         if self.task_timeout is not None:
             timeout = float(self.task_timeout)
             if not np.isfinite(timeout) or timeout <= 0:
@@ -334,22 +320,6 @@ class JoinSpec:
         if self.delta_threshold is not None:
             return self.delta_threshold
         return max(MIN_DELTA_THRESHOLD, int(base_size) // 8)
-
-    def resolved_stripe_overlap(self) -> float:
-        """The effective boundary-band width for parallel stripes.
-
-        Must be at least :attr:`band_width`: a narrower band could miss
-        a qualifying pair that spans a stripe boundary.
-        """
-        if self.stripe_overlap is None:
-            return self.band_width
-        if self.stripe_overlap < self.band_width:
-            raise InvalidParameterError(
-                f"stripe_overlap {self.stripe_overlap} is narrower than the "
-                f"metric's per-coordinate bound {self.band_width}; boundary "
-                "pairs would be lost"
-            )
-        return self.stripe_overlap
 
     @property
     def band_width(self) -> float:

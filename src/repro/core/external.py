@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,30 +104,130 @@ def _resilient_read_all(
     return np.vstack(pages)
 
 
-def plan_stripes(histogram: np.ndarray, capacity: int) -> List[slice]:
-    """Greedily group consecutive cells into stripes that fit ``capacity``.
+def plan_stripes(
+    cells: np.ndarray, counts: np.ndarray, capacity: int
+) -> List[slice]:
+    """Greedily group consecutive occupied cells into stripes that fit ``capacity``.
 
-    The join pass holds one stripe *plus* the next stripe's boundary band
-    in memory at once, and that band is contained in the next stripe's
-    first cell — so the plan reserves the cell following the stripe when
-    sizing it.  A single cell larger than the capacity becomes a stripe
-    of its own (the budget violation is surfaced in the report, not
-    hidden).
+    ``cells`` are the sorted distinct ids of the occupied cells and
+    ``counts`` their point counts; each stripe is returned as a
+    half-open slice of *positions* in ``cells``, so the work grows with
+    the number of occupied cells, never with the span of the domain.
+    The join pass holds one stripe *plus* the next stripe's boundary
+    band in memory at once, and that band lies in the cell right after
+    the stripe's last one — so the plan reserves that cell's count when
+    it is occupied (a gap of one empty cell means no pair crosses).  A
+    single cell larger than the capacity becomes a stripe of its own
+    (the budget violation is surfaced in the report, not hidden).
     """
-    cells = len(histogram)
+    cells = np.asarray(cells, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    occupied = len(cells)
+    reserve = np.zeros(occupied, dtype=np.int64)
+    if occupied > 1:
+        adjacent = cells[1:] == cells[:-1] + 1
+        reserve[:-1] = np.where(adjacent, counts[1:], 0)
     stripes: List[slice] = []
     start = 0
     running = 0
-    for cell in range(cells):
-        count = int(histogram[cell])
-        reserve = int(histogram[cell + 1]) if cell + 1 < cells else 0
-        if running and running + count + reserve > capacity:
-            stripes.append(slice(start, cell))
-            start = cell
+    for position in range(occupied):
+        count = int(counts[position])
+        if running and running + count + int(reserve[position]) > capacity:
+            stripes.append(slice(start, position))
+            start = position
             running = 0
         running += count
-    stripes.append(slice(start, cells))
+    stripes.append(slice(start, occupied))
     return stripes
+
+
+def merge_cell_counts(
+    cells: Sequence[np.ndarray], counts: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum partial ``(cells, counts)`` histograms over the union of their cells."""
+    merged, inverse = np.unique(np.concatenate(cells), return_inverse=True)
+    totals = np.bincount(inverse, weights=np.concatenate(counts), minlength=len(merged))
+    return merged, totals.astype(np.int64)
+
+
+def _stripe_relations(
+    relations: List[PointFile],
+    spec: JoinSpec,
+    memory_points: int,
+    stats: JoinStats,
+    io_retries: int,
+) -> Tuple[int, List[List[PointFile]], List[List[PointFile]]]:
+    """Domain, histogram and partition passes shared by both joins.
+
+    Every relation is striped on dimension 0 with *shared* boundaries
+    planned from the combined histogram of occupied cells (memory at
+    join time holds both sides).  Returns the stripe count and, per
+    relation, its stripe files and lower-boundary band files.  Stripe
+    ``k``'s band holds its points within one cell width of the lower
+    edge of the cell after stripe ``k - 1``'s last occupied cell (an
+    upper bound on every point of stripe ``k - 1``), so when that cell
+    is empty the band is too.
+    """
+    store = relations[0].store
+    dims = relations[0].dims - 1
+
+    def pages(relation):
+        return _resilient_pages(relation, stats, io_retries)
+
+    # Pass 1: striping domain over every relation.
+    with trace.span("domain-pass"):
+        lo = math.inf
+        hi = -math.inf
+        for relation in relations:
+            for page in pages(relation):
+                lo = min(lo, float(page[:, 0].min()))
+                hi = max(hi, float(page[:, 0].max()))
+    eps = spec.band_width
+    last_cell = max(0, int((hi - lo) // eps) - 1)
+
+    def cells_of(page: np.ndarray) -> np.ndarray:
+        cells = np.floor((page[:, 0] - lo) / eps)
+        return np.clip(cells, 0, last_cell).astype(np.int64)
+
+    # Pass 2: sparse histogram of the occupied dimension-0 cells.
+    with trace.span("histogram-pass") as histogram_span:
+        page_cells: List[np.ndarray] = []
+        page_counts: List[np.ndarray] = []
+        for relation in relations:
+            for page in pages(relation):
+                cells, counts = np.unique(cells_of(page), return_counts=True)
+                page_cells.append(cells)
+                page_counts.append(counts)
+        cells, counts = merge_cell_counts(page_cells, page_counts)
+        histogram_span.set_attribute("cells", len(cells))
+
+    stripes = plan_stripes(cells, counts, int(memory_points))
+    first_cell = cells[[span.start for span in stripes]]
+    lower_cell = np.concatenate(
+        [cells[:1], cells[[span.stop - 1 for span in stripes[:-1]]] + 1]
+    )
+    band_top = lo + lower_cell * eps + eps
+
+    # Pass 3: partition each relation into stripe and band files.
+    stripe_files: List[List[PointFile]] = []
+    band_files: List[List[PointFile]] = []
+    with trace.span("partition-pass", stripes=len(stripes)):
+        for relation in relations:
+            stripe_files.append([PointFile(store, dims + 1) for _ in stripes])
+            band_files.append([PointFile(store, dims + 1) for _ in stripes])
+            for page in pages(relation):
+                owners = (
+                    np.searchsorted(first_cell, cells_of(page), side="right") - 1
+                )
+                for sid in np.unique(owners):
+                    rows = page[owners == sid]
+                    stripe_files[-1][sid].append_rows(rows)
+                    in_band = rows[:, 0] <= band_top[sid]
+                    if in_band.any():
+                        band_files[-1][sid].append_rows(rows[in_band])
+            for pfile in stripe_files[-1] + band_files[-1]:
+                pfile.close_append()
+    return len(stripes), stripe_files, band_files
 
 
 def external_self_join(
@@ -179,51 +279,14 @@ def external_self_join(
     baseline_io = store.counters.snapshot()
     baseline_faults = store.fault_plan.injected if store.fault_plan else 0
 
-    # Pass 1: domain of the striping dimension.
-    with trace.span("domain-pass"):
-        lo = math.inf
-        hi = -math.inf
-        for page in _resilient_pages(relation, report.stats, io_retries):
-            lo = min(lo, float(page[:, 0].min()))
-            hi = max(hi, float(page[:, 0].max()))
-
-    eps = spec.band_width
-    n_cells = max(1, int((hi - lo) // eps))
-
-    # Pass 2: histogram of dimension-0 cells.
-    with trace.span("histogram-pass", cells=n_cells):
-        histogram = np.zeros(n_cells, dtype=np.int64)
-        for page in _resilient_pages(relation, report.stats, io_retries):
-            cells = _cells(page[:, 0], lo, eps, n_cells)
-            histogram += np.bincount(cells, minlength=n_cells)
-
-    stripes = plan_stripes(histogram, int(memory_points))
-    report.stripes = len(stripes)
-    cell_to_stripe = np.empty(n_cells, dtype=np.int64)
-    stripe_lower = np.empty(len(stripes))
-    for sid, span in enumerate(stripes):
-        cell_to_stripe[span] = sid
-        stripe_lower[sid] = lo + span.start * eps
-
-    # Pass 3: partition into stripe files and lower-boundary band files.
-    with trace.span("partition-pass", stripes=len(stripes)):
-        stripe_files = [PointFile(store, dims + 1) for _ in stripes]
-        band_files = [PointFile(store, dims + 1) for _ in stripes]
-        for page in _resilient_pages(relation, report.stats, io_retries):
-            cells = _cells(page[:, 0], lo, eps, n_cells)
-            owners = cell_to_stripe[cells]
-            for sid in np.unique(owners):
-                rows = page[owners == sid]
-                stripe_files[sid].append_rows(rows)
-                in_band = rows[:, 0] <= stripe_lower[sid] + eps
-                if in_band.any():
-                    band_files[sid].append_rows(rows[in_band])
-        for pfile in stripe_files + band_files:
-            pfile.close_append()
+    n_stripes, (stripe_files,), (band_files,) = _stripe_relations(
+        [relation], spec, memory_points, report.stats, io_retries
+    )
+    report.stripes = n_stripes
 
     # Pass 4: join each stripe with itself and with the next stripe's band.
-    with trace.span("join-pass", stripes=len(stripes)):
-        for sid in range(len(stripes)):
+    with trace.span("join-pass", stripes=n_stripes):
+        for sid in range(n_stripes):
             with trace.span("stripe", stripe=sid) as stripe_span:
                 stripe_rows = _resilient_read_all(
                     stripe_files[sid], report.stats, io_retries
@@ -235,7 +298,7 @@ def external_self_join(
                     mapped = _MappedSink(sink, stripe_map, stripe_map)
                     local = epsilon_kdb_self_join(stripe_points, spec, sink=mapped)
                     report.stats.merge(local.stats)
-                if sid + 1 < len(stripes) and band_files[sid + 1].num_rows:
+                if sid + 1 < n_stripes and band_files[sid + 1].num_rows:
                     band_rows = _resilient_read_all(
                         band_files[sid + 1], report.stats, io_retries
                     )
@@ -338,51 +401,10 @@ def external_join(
     baseline_io = store.counters.snapshot()
     baseline_faults = store.fault_plan.injected if store.fault_plan else 0
 
-    # Pass 1: shared striping domain over both relations.
-    with trace.span("domain-pass"):
-        lo = math.inf
-        hi = -math.inf
-        for relation in relations:
-            for page in _resilient_pages(relation, report.stats, io_retries):
-                lo = min(lo, float(page[:, 0].min()))
-                hi = max(hi, float(page[:, 0].max()))
-    eps = spec.band_width
-    n_cells = max(1, int((hi - lo) // eps))
-
-    # Pass 2: combined histogram (memory at join time holds both sides).
-    with trace.span("histogram-pass", cells=n_cells):
-        histogram = np.zeros(n_cells, dtype=np.int64)
-        for relation in relations:
-            for page in _resilient_pages(relation, report.stats, io_retries):
-                cells = _cells(page[:, 0], lo, eps, n_cells)
-                histogram += np.bincount(cells, minlength=n_cells)
-
-    stripes = plan_stripes(histogram, int(memory_points))
-    report.stripes = len(stripes)
-    cell_to_stripe = np.empty(n_cells, dtype=np.int64)
-    stripe_lower = np.empty(len(stripes))
-    for sid, span in enumerate(stripes):
-        cell_to_stripe[span] = sid
-        stripe_lower[sid] = lo + span.start * eps
-
-    # Pass 3: partition each relation into stripe and band files.
-    with trace.span("partition-pass", stripes=len(stripes)):
-        stripe_files = [[], []]
-        band_files = [[], []]
-        for side, relation in enumerate(relations):
-            stripe_files[side] = [PointFile(store, dims + 1) for _ in stripes]
-            band_files[side] = [PointFile(store, dims + 1) for _ in stripes]
-            for page in _resilient_pages(relation, report.stats, io_retries):
-                cells = _cells(page[:, 0], lo, eps, n_cells)
-                owners = cell_to_stripe[cells]
-                for sid in np.unique(owners):
-                    rows = page[owners == sid]
-                    stripe_files[side][sid].append_rows(rows)
-                    in_band = rows[:, 0] <= stripe_lower[sid] + eps
-                    if in_band.any():
-                        band_files[side][sid].append_rows(rows[in_band])
-            for pfile in stripe_files[side] + band_files[side]:
-                pfile.close_append()
+    n_stripes, stripe_files, band_files = _stripe_relations(
+        relations, spec, memory_points, report.stats, io_retries
+    )
+    report.stripes = n_stripes
 
     # Pass 4: per stripe, R_k x S_k, R_k x Sband_{k+1}, Rband_{k+1} x S_k.
     def load(pfile):
@@ -395,14 +417,14 @@ def external_join(
             local = epsilon_kdb_join(left, right, spec, sink=mapped)
             report.stats.merge(local.stats)
 
-    with trace.span("join-pass", stripes=len(stripes)):
-        for sid in range(len(stripes)):
+    with trace.span("join-pass", stripes=n_stripes):
+        for sid in range(n_stripes):
             with trace.span("stripe", stripe=sid) as stripe_span:
                 r_points, r_map = load(stripe_files[0][sid])
                 s_points, s_map = load(stripe_files[1][sid])
                 in_memory = len(r_points) + len(s_points)
                 join_sides(r_points, r_map, s_points, s_map)
-                if sid + 1 < len(stripes):
+                if sid + 1 < n_stripes:
                     if band_files[1][sid + 1].num_rows:
                         sband_points, sband_map = load(band_files[1][sid + 1])
                         in_memory += len(sband_points)
@@ -429,8 +451,3 @@ def external_join(
             pairs = pairs[order]
         report.pairs = pairs
     return report
-
-
-def _cells(values: np.ndarray, lo: float, eps: float, n_cells: int) -> np.ndarray:
-    cells = np.floor((values - lo) / eps).astype(np.int64)
-    return np.clip(cells, 0, n_cells - 1)

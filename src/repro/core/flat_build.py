@@ -34,16 +34,16 @@ the same leaves as :meth:`EpsilonKdbTree.build` for the same spec and
 grid (property-tested in ``tests/test_flat_build.py``), and the join
 traversal over it emits the identical pair set.
 
-:class:`TreeCache` adds cross-epsilon structure reuse: a tree built at a
-coarse epsilon answers any finer join (its cells are at least as wide as
-required), so an epsilon sweep over one dataset pays for one sort.
+A tree built at a coarse epsilon still answers any finer join (its cells
+are at least as wide as required; see ``epsilon_kdb_self_join``'s
+``tree=``), but nothing caches trees across joins: the build costs a few
+milliseconds, while the coarse tree's too-wide cells cost far more
+traversal than the build they save (E17).
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
@@ -54,7 +54,7 @@ from repro.core.epsilon_kdb import Grid, TreeDescription
 from repro.errors import InvalidParameterError
 from repro.obs import trace
 
-__all__ = ["FlatEpsilonKdbTree", "TreeCache"]
+__all__ = ["FlatEpsilonKdbTree"]
 
 # Guard for packing (node id, digit) into one int64 radix key; above this
 # the build falls back to a two-key lexsort instead of overflowing.
@@ -550,6 +550,13 @@ class FlatEpsilonKdbTree:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+    def root_children(self) -> slice:
+        """Node ids of the root's children, in digit order (empty for a
+        leaf root).  Their digits are the occupied cells of the first
+        split dimension."""
+        first = int(self.node_first_child[0])
+        return slice(first, first + int(self.node_n_children[0]))
+
     @property
     def n_nodes(self) -> int:
         return int(len(self.node_depth))
@@ -592,70 +599,3 @@ class FlatEpsilonKdbTree:
             f"<FlatEpsilonKdbTree points={len(self.perm)} nodes={self.n_nodes} "
             f"leaves={self.n_leaves}>"
         )
-
-
-def _fingerprint(points: np.ndarray) -> str:
-    """Content hash of a point array (shape-qualified)."""
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(repr(points.shape).encode())
-    digest.update(np.ascontiguousarray(points).tobytes())
-    return digest.hexdigest()
-
-
-class TreeCache:
-    """LRU cache of flat trees for cross-epsilon structure reuse.
-
-    Keyed on (data fingerprint, metric, leaf threshold, split order,
-    sort dimension) — everything that shapes the structure *except*
-    epsilon.  A cached tree built at a coarse epsilon is reused verbatim
-    for any finer join, because every cached cell is at least as wide as
-    the finer join requires (the same rule that lets a pre-built tree be
-    passed to ``epsilon_kdb_self_join``).  A request coarser than the
-    cached tree rebuilds and replaces the entry.
-    """
-
-    def __init__(self, max_entries: int = 4):
-        if int(max_entries) < 1:
-            raise InvalidParameterError(
-                f"max_entries must be >= 1, got {max_entries!r}"
-            )
-        self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[tuple, FlatEpsilonKdbTree]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _key(self, points: np.ndarray, spec: JoinSpec) -> tuple:
-        dims = points.shape[1]
-        return (
-            _fingerprint(points),
-            spec.metric.name,
-            spec.leaf_size,
-            tuple(int(d) for d in spec.resolved_split_order(dims)),
-            spec.resolved_sort_dim(dims),
-        )
-
-    def get_or_build(
-        self, points: np.ndarray, spec: JoinSpec
-    ) -> Tuple[FlatEpsilonKdbTree, bool]:
-        """Return ``(tree, was_hit)`` for this (points, spec) request."""
-        points = validate_points(points)
-        key = self._key(points, spec)
-        cached = self._entries.get(key)
-        if (
-            cached is not None
-            and spec.epsilon <= cached.spec.epsilon
-            and spec.band_width <= cached.grid.eps
-        ):
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return cached, True
-        self.misses += 1
-        tree = FlatEpsilonKdbTree.build(points, spec)
-        self._entries[key] = tree
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return tree, False

@@ -20,9 +20,8 @@ fragments of the join frontier, :func:`~repro.core.join.flat_probe`;
 no tree is built over the batch).  ``delete(ids)`` is symmetric and emits the pairs it
 retracts.  When the delta outgrows ``spec.resolved_delta_threshold`` (or
 on an explicit :meth:`~IncrementalJoin.compact`), live rows are merged
-into a fresh base tree through the shared
-:class:`~repro.core.flat_build.TreeCache`; the swap happens only after
-the build succeeds, so an injected :class:`~repro.errors.TransientIoError`
+into a freshly built base tree; the swap happens only after the build
+succeeds, so an injected :class:`~repro.errors.TransientIoError`
 mid-compaction leaves the session state untouched.
 
 The correctness contract — enforced by the stateful hypothesis suite and
@@ -49,7 +48,7 @@ import numpy as np
 
 from repro.core.config import JoinSpec, validate_points
 from repro.core.epsilon_kdb import Grid
-from repro.core.flat_build import FlatEpsilonKdbTree, TreeCache
+from repro.core.flat_build import FlatEpsilonKdbTree
 from repro.core.join import epsilon_kdb_join, epsilon_kdb_self_join, flat_probe
 from repro.core.resilience import FaultPlan, retry_transient
 from repro.core.result import JoinResult, JoinStats
@@ -235,10 +234,6 @@ class IncrementalJoin:
             cost) through
             :class:`~repro.core.parallel.ParallelJoinExecutor`.  Both
             engines emit byte-identical deltas.
-        structure_cache: a shared
-            :class:`~repro.core.flat_build.TreeCache` reused across
-            compactions (and across sessions); ``None`` creates a
-            private one.
         fault_plan: a :class:`~repro.core.resilience.FaultPlan` whose
             ``io_fault`` sites fire once per compaction *attempt*
             (ordinals count attempts, so a retried compaction consumes
@@ -263,7 +258,6 @@ class IncrementalJoin:
         spec: JoinSpec,
         *,
         engine: str = "serial",
-        structure_cache: Optional[TreeCache] = None,
         fault_plan: Optional[FaultPlan] = None,
         io_retries: int = DEFAULT_IO_RETRIES,
         use_processes: bool = True,
@@ -280,7 +274,6 @@ class IncrementalJoin:
         self.spec = spec
         self.engine = engine
         self.stats = JoinStats()
-        self._cache = TreeCache() if structure_cache is None else structure_cache
         self._fault_plan = fault_plan
         self._io_retries = int(io_retries)
         self._use_processes = use_processes
@@ -336,7 +329,6 @@ class IncrementalJoin:
         spec: Optional[JoinSpec] = None,
         sync_mode: Optional[str] = None,
         engine: str = "serial",
-        structure_cache: Optional[TreeCache] = None,
         fault_plan: Optional[FaultPlan] = None,
         io_retries: int = DEFAULT_IO_RETRIES,
         use_processes: bool = True,
@@ -377,7 +369,6 @@ class IncrementalJoin:
             return cls(
                 fresh,
                 engine=engine,
-                structure_cache=structure_cache,
                 fault_plan=fault_plan,
                 io_retries=io_retries,
                 use_processes=use_processes,
@@ -419,7 +410,6 @@ class IncrementalJoin:
             session = cls(
                 mem_spec,
                 engine=engine,
-                structure_cache=structure_cache,
                 fault_plan=fault_plan,
                 io_retries=io_retries,
                 use_processes=use_processes,
@@ -592,21 +582,15 @@ class IncrementalJoin:
                 eps=float(grid_meta["eps"]),
                 n_cells=np.asarray(grid_meta["n_cells"], dtype=np.int64),
             )
-            # The tree may have been built at a coarser epsilon (shared
-            # TreeCache reuse); restore its build spec faithfully so the
-            # reuse validation keeps holding.
-            tree_epsilon = float(meta["tree"]["epsilon"])
-            tree_spec = (
-                self.spec
-                if tree_epsilon == self.spec.epsilon
-                else replace(self.spec, epsilon=tree_epsilon)
-            )
+            # The stored grid alone makes the tree exact: a tree built
+            # at a coarser epsilon (older snapshots) keeps its wider
+            # cells, which only over-approximate the adjacency rule.
             tree = FlatEpsilonKdbTree.from_arrays(
                 np.asarray(arrays["points_flat"], dtype=np.float64),
                 np.asarray(arrays["perm"], dtype=np.int64),
                 np.asarray(arrays["digits"], dtype=np.int64),
                 np.asarray(arrays["packed_nodes"], dtype=np.int64),
-                tree_spec,
+                self.spec,
                 grid,
             )
             self._base_tree = tree
@@ -888,7 +872,7 @@ class IncrementalJoin:
             return  # nothing to fold in
         with trace.span(
             "compact", base=live_base, delta=self.delta_size, tombstones=dead_base
-        ) as span:
+        ):
             new_points = np.ascontiguousarray(
                 np.concatenate(
                     [
@@ -901,9 +885,8 @@ class IncrementalJoin:
                 [self._base_ids[self._base_alive], self._delta_ids[self._delta_alive]]
             )
             tree: Optional[FlatEpsilonKdbTree] = None
-            cache_hit = False
             if len(new_points):
-                tree, cache_hit = retry_transient(
+                tree = retry_transient(
                     lambda: self._build_base(new_points),
                     self._io_retries,
                     on_retry=self._count_retry,
@@ -920,12 +903,9 @@ class IncrementalJoin:
             self._delta_alive = np.empty(0, dtype=bool)
             self.stats.compactions += 1
             self.stats.delta_size = 0
-            if cache_hit:
-                self.stats.structure_cache_hits += 1
-            elif tree is not None:
+            if tree is not None:
                 self.stats.build_nodes += tree.n_nodes
                 self.stats.build_sort_seconds += tree.build_sort_seconds
-            span.set_attribute("cache_hit", cache_hit)
         if self._persist_dir is not None and not self._replaying:
             # Publish-then-reset: a crash after the publish but before
             # the reset leaves stale low-seq WAL records, which recovery
@@ -1104,7 +1084,7 @@ class IncrementalJoin:
             raise TransientIoError(
                 f"injected compaction fault (attempt ordinal {attempt})"
             )
-        return self._cache.get_or_build(new_points, self.spec)
+        return FlatEpsilonKdbTree.build(new_points, self.spec)
 
     def _count_retry(self, attempt: int) -> None:
         self.stats.storage_retries += 1

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.epsilon_kdb import EpsilonKdbTree, Grid, InternalNode, LeafNode
-from repro.core.flat_build import FlatEpsilonKdbTree, TreeCache
+from repro.core.flat_build import FlatEpsilonKdbTree
 from repro.core.kernels import (
     KernelContext,
     KernelSource,
@@ -705,10 +705,9 @@ def _flat_self_join_range(
     is exact even with ``adjacency_pruning`` off.  The range seeds the
     frontier at depth 1.
     """
-    first = int(tree.node_first_child[0])
-    count = int(tree.node_n_children[0])
-    children = np.arange(first + child_lo, first + child_hi, dtype=np.int64)
-    left = children[children + 1 < first + count]
+    root = tree.root_children()
+    children = np.arange(root.start + child_lo, root.start + child_hi, dtype=np.int64)
+    left = children[children + 1 < root.stop]
     if spec.adjacency_pruning:
         left = left[tree.node_digit[left + 1] == tree.node_digit[left] + 1]
     level = _Level(selfs=[children], pairs=([left], [left + 1]))
@@ -733,18 +732,18 @@ def _flat_cross_join_range(
     cannot hold qualifying pairs (see :func:`_flat_self_join_range`).
     """
 
-    def root_children(tree: FlatEpsilonKdbTree) -> Tuple[np.ndarray, int]:
-        first = int(tree.node_first_child[0])
-        return tree.node_digit[first:first + int(tree.node_n_children[0])], first
-
     def child_at(tree: FlatEpsilonKdbTree, cells: np.ndarray) -> np.ndarray:
         """Root child id holding each cell, or -1."""
-        digits, first = root_children(tree)
+        root = tree.root_children()
+        digits = tree.node_digit[root]
         pos = np.minimum(np.searchsorted(digits, cells), max(len(digits) - 1, 0))
         found = digits[pos] == cells if len(digits) else np.zeros(len(cells), bool)
-        return np.where(found, first + pos, -1)
+        return np.where(found, root.start + pos, -1)
 
-    cells = np.union1d(root_children(tree_r)[0], root_children(tree_s)[0])
+    cells = np.union1d(
+        tree_r.node_digit[tree_r.root_children()],
+        tree_s.node_digit[tree_s.root_children()],
+    )
     cells = cells[(cells >= cell_lo) & (cells < cell_hi)]
     r_here, s_here = child_at(tree_r, cells), child_at(tree_s, cells)
     r_next, s_next = child_at(tree_r, cells + 1), child_at(tree_s, cells + 1)
@@ -782,7 +781,6 @@ def epsilon_kdb_self_join(
     spec: JoinSpec,
     sink: Optional[PairSink] = None,
     tree: Optional[Union[EpsilonKdbTree, FlatEpsilonKdbTree]] = None,
-    structure_cache: Optional[TreeCache] = None,
 ) -> JoinResult:
     """Self-join: all pairs ``i < j`` with ``dist(points[i], points[j]) <= eps``.
 
@@ -793,9 +791,7 @@ def epsilon_kdb_self_join(
     dimensionality; a pointer :class:`EpsilonKdbTree` runs the recursive
     reference traversal instead of the frontier.  Pass a
     :class:`~repro.core.result.PairCounter` as ``sink`` to count without
-    materializing pairs.  ``structure_cache`` (a
-    :class:`~repro.core.flat_build.TreeCache`) reuses a flat tree built
-    at a coarser epsilon over the same data instead of re-sorting.
+    materializing pairs.
     """
     points = validate_points(points)
     if tree is not None and (
@@ -813,7 +809,6 @@ def epsilon_kdb_self_join(
     if len(points) < 2:
         return result
     flat_tree: Optional[FlatEpsilonKdbTree] = None
-    cache_hit = False
     built_here = False
     build_seconds = 0.0
     if isinstance(tree, FlatEpsilonKdbTree):
@@ -829,9 +824,6 @@ def epsilon_kdb_self_join(
             if tree is not None:
                 _check_tree_reuse(spec, tree.spec.epsilon, tree.grid.eps)
                 tree.finalize()
-            elif structure_cache is not None:
-                flat_tree, cache_hit = structure_cache.get_or_build(points, spec)
-                built_here = not cache_hit
             else:
                 flat_tree = FlatEpsilonKdbTree.build(points, spec)
                 built_here = True
@@ -854,7 +846,6 @@ def epsilon_kdb_self_join(
         stats.build_sort_seconds = (
             flat_tree.build_sort_seconds if built_here else 0.0
         )
-        stats.structure_cache_hits = 1 if cache_hit else 0
     else:
         kernel = build_kernel_context(
             spec,
@@ -894,12 +885,8 @@ def epsilon_kdb_join(
     synchronized frontier traversal.
     """
     points_r, points_s = validate_point_sets(points_r, points_s)
-    collect = sink is None
-    if collect:
-        sink = PairCollector()
-    result = JoinResult()
     if len(points_r) == 0 or len(points_s) == 0:
-        return result
+        return JoinResult()
     with trace.span(
         "build",
         points_r=len(points_r),
@@ -910,11 +897,26 @@ def epsilon_kdb_join(
         grid = Grid.fit_union(points_r, points_s, spec.band_width)
         tree_r = FlatEpsilonKdbTree.build(points_r, spec, grid=grid)
         tree_s = FlatEpsilonKdbTree.build(points_s, spec, grid=grid)
+    result = join_flat_trees(tree_r, tree_s, spec, sink)
+    result.build_seconds = build_span.duration
+    return result
+
+
+def join_flat_trees(
+    tree_r: FlatEpsilonKdbTree,
+    tree_s: FlatEpsilonKdbTree,
+    spec: JoinSpec,
+    sink: Optional[PairSink] = None,
+) -> JoinResult:
+    """Two-set join over two flat trees already built on one shared grid."""
+    collect = sink is None
+    if collect:
+        sink = PairCollector()
     kernel = build_kernel_context(
         spec,
         tree_r.points_flat,
         points_b=tree_s.points_flat,
-        grid=grid,
+        grid=tree_r.grid,
         split_dims=tuple(set(tree_r.split_dims()) | set(tree_s.split_dims())),
         sort_dim=tree_r.sort_dim,
     )
@@ -924,13 +926,13 @@ def epsilon_kdb_join(
         )
         join_span.set_attribute("pairs", sink.count)
         join_span.set_attribute("leaf_joins", stats.leaf_joins)
+    result = JoinResult()
     result.stats = stats
     result.stats.build_nodes = tree_r.n_nodes + tree_s.n_nodes
     result.stats.build_sort_seconds = (
         tree_r.build_sort_seconds + tree_s.build_sort_seconds
     )
     result.stats.pairs_emitted = sink.count
-    result.build_seconds = build_span.duration
     result.join_seconds = join_span.duration
     if collect:
         result.pairs = sink.sorted_pairs()

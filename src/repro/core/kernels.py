@@ -135,15 +135,12 @@ class KernelSource:
 
     The parallel executor ships one global ``(d, n)`` structure-of-arrays
     copy per side to every worker through shared memory; a stripe task
-    wraps it in a source whose ``row_map`` translates the stripe-local
-    row indices its tree produces into rows of the global store, so no
-    per-stripe transpose copies are made.
+    wraps it in a source, so no per-stripe transpose copies are made.
+    Rows of the stores are the rows the traversal hands the kernel.
     """
 
     cols_a: np.ndarray
-    row_map_a: Optional[np.ndarray] = None
     cols_b: Optional[np.ndarray] = None
-    row_map_b: Optional[np.ndarray] = None
 
 
 def plan_cascade(
@@ -194,8 +191,8 @@ class KernelContext:
     candidate/survivor counters.
 
     The context owns the plan, thresholds, column stores, the
-    small-batch direct path and chunking/row-map translation; each
-    chunk is filtered by :func:`filter_chunk`.
+    small-batch direct path and chunking; each chunk is filtered by
+    :func:`filter_chunk`.
     """
 
     __slots__ = (
@@ -204,8 +201,6 @@ class KernelContext:
         "eps",
         "cols_a",
         "cols_b",
-        "row_map_a",
-        "row_map_b",
         "exact_key",
         "prune_key",
         "filter_bound",
@@ -217,8 +212,6 @@ class KernelContext:
         spec: JoinSpec,
         cols_a: np.ndarray,
         cols_b: Optional[np.ndarray] = None,
-        row_map_a: Optional[np.ndarray] = None,
-        row_map_b: Optional[np.ndarray] = None,
     ):
         if cols_a.ndim != 2 or cols_a.shape[0] != len(plan.order):
             raise InvalidParameterError(
@@ -230,8 +223,6 @@ class KernelContext:
         self.eps = spec.epsilon
         self.cols_a = cols_a
         self.cols_b = cols_a if cols_b is None else cols_b
-        self.row_map_a = row_map_a
-        self.row_map_b = row_map_a if cols_b is None else row_map_b
         slack = _relative_slack(cols_a.dtype, len(plan.order))
         self.exact_key = spec.metric.key(spec.epsilon)
         self.prune_key = self.exact_key * (1.0 + slack)
@@ -268,15 +259,9 @@ class KernelContext:
         out = np.empty(n, dtype=bool)
         for start in range(0, n, _ROW_CHUNK):
             stop = min(start + _ROW_CHUNK, n)
-            chunk_a = rows_a[start:stop]
-            chunk_b = rows_b[start:stop]
-            # Row-map translation happens here, once, so the filter
-            # receives indices in the column stores' global row space.
-            if self.row_map_a is not None:
-                chunk_a = self.row_map_a[chunk_a]
-            if self.row_map_b is not None:
-                chunk_b = self.row_map_b[chunk_b]
-            out[start:stop] = filter_chunk(self, chunk_a, chunk_b, stats)
+            out[start:stop] = filter_chunk(
+                self, rows_a[start:stop], rows_b[start:stop], stats
+            )
         return out
 
     def _direct(
@@ -293,10 +278,6 @@ class KernelContext:
         which keeps the per-stage funnel monotone and fixed-length when
         direct and cascaded batches merge.
         """
-        if self.row_map_a is not None:
-            rows_a = self.row_map_a[rows_a]
-        if self.row_map_b is not None:
-            rows_b = self.row_map_b[rows_b]
         diff = np.abs(
             gather_rows(self.cols_a, rows_a) - gather_rows(self.cols_b, rows_b)
         )
@@ -463,8 +444,6 @@ def build_kernel_context(
                 spec,
                 cols_a=source.cols_a,
                 cols_b=source.cols_b,
-                row_map_a=source.row_map_a,
-                row_map_b=source.row_map_b,
             )
         else:
             cols_a = np.ascontiguousarray(points_a.T)

@@ -6,11 +6,14 @@ dimension: child ``i`` of a split node only ever joins children
 itself and its neighbouring stripes' adjacent cells.  The
 external-memory driver (:mod:`repro.core.external`) already exploits
 this to bound memory; this module exploits it to bound *latency*: it
-plans load-balanced stripes along the first split dimension, builds one
-flat tree in the parent, ships its arrays to worker processes once via
-``multiprocessing.shared_memory``, lets each worker traverse one
-disjoint range of the root's children in a process pool, and merges the
-per-stripe pair blocks deterministically.
+builds one flat tree in the parent, groups the root's children (the
+occupied cells of the first split dimension) into load-balanced stripes
+with :func:`repro.core.external.plan_stripes`, ships the tree's arrays
+to worker processes once via ``multiprocessing.shared_memory``, lets
+each worker traverse one disjoint range of the root's children in a
+process pool, and merges the per-stripe pair blocks deterministically.
+Planning reads only the root's children, so its cost grows with the
+number of occupied cells, never with the span of the data over epsilon.
 
 Partitioning rule (self-join): the task owning root children
 ``[lo, hi)`` joins each of them with itself and with its right-adjacent
@@ -31,7 +34,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
@@ -39,13 +41,14 @@ import numpy as np
 
 from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.epsilon_kdb import Grid
-from repro.core.external import plan_stripes
+from repro.core.external import merge_cell_counts, plan_stripes
 from repro.core.flat_build import FlatEpsilonKdbTree
 from repro.core.join import (
     _flat_cross_join_range,
     _flat_self_join_range,
     epsilon_kdb_join,
     epsilon_kdb_self_join,
+    join_flat_trees,
 )
 from repro.core.kernels import KernelSource, build_kernel_context
 from repro.core.resilience import DegradeToSerial, FaultPlan
@@ -73,83 +76,10 @@ DEFAULT_STRIPES_PER_WORKER = 3
 DEFAULT_RETRY_BACKOFF = 0.05
 
 
-@dataclass(frozen=True)
-class StripePlan:
-    """Partitioning of one join along a single dimension.
-
-    ``spans`` are half-open cell ranges per stripe, as produced by
-    :func:`repro.core.external.plan_stripes`; ``lo``/``cell_width``
-    translate cells back to coordinates.  ``overlap`` is the boundary
-    band width (>= ``cell_width``).
-    """
-
-    dim: int
-    lo: float
-    cell_width: float
-    overlap: float
-    n_cells: int
-    spans: Tuple[Tuple[int, int], ...]
-
-    @property
-    def n_stripes(self) -> int:
-        return len(self.spans)
-
-    def cell_of(self, values: np.ndarray) -> np.ndarray:
-        cells = np.floor((np.asarray(values) - self.lo) / self.cell_width)
-        return np.clip(cells, 0, self.n_cells - 1).astype(np.int64)
-
-    def owner_of(self, values: np.ndarray) -> np.ndarray:
-        """Stripe id owning each value (by its dimension-0 cell)."""
-        cell_to_stripe = np.empty(self.n_cells, dtype=np.int64)
-        for sid, (start, stop) in enumerate(self.spans):
-            cell_to_stripe[start:stop] = sid
-        return cell_to_stripe[self.cell_of(values)]
-
-
-def plan_parallel_stripes(
-    values: np.ndarray,
-    spec: JoinSpec,
-    n_workers: int,
-    stripes_per_worker: int = DEFAULT_STRIPES_PER_WORKER,
-) -> StripePlan:
-    """Plan load-balanced stripes over one coordinate array.
-
-    Reuses the external driver's greedy :func:`plan_stripes` with a
-    *capacity* target of roughly ``len(values) / (n_workers *
-    stripes_per_worker)`` points per stripe, instead of a memory budget.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) and not np.isfinite(values).all():
-        raise InvalidParameterError(
-            "stripe planning requires finite coordinates; the values "
-            "contain NaN or infinite entries"
-        )
-    if n_workers < 1:
-        raise InvalidParameterError(f"n_workers must be >= 1, got {n_workers}")
-    if stripes_per_worker < 1:
-        raise InvalidParameterError(
-            f"stripes_per_worker must be >= 1, got {stripes_per_worker}"
-        )
-    overlap = spec.resolved_stripe_overlap()
-    cell_width = spec.band_width
-    lo = float(values.min()) if len(values) else 0.0
-    hi = float(values.max()) if len(values) else 0.0
-    n_cells = max(1, int((hi - lo) // cell_width))
-    plan_args = dict(
-        dim=0, lo=lo, cell_width=cell_width, overlap=overlap, n_cells=n_cells
-    )
-    if n_cells == 1 or len(values) == 0:
-        return StripePlan(spans=((0, n_cells),), **plan_args)
-    cells = np.clip(
-        np.floor((values - lo) / cell_width), 0, n_cells - 1
-    ).astype(np.int64)
-    histogram = np.bincount(cells, minlength=n_cells)
-    capacity = max(2, -(-len(values) // (n_workers * stripes_per_worker)))
-    spans = tuple(
-        (span.start, span.stop)
-        for span in plan_stripes(histogram, capacity)
-    )
-    return StripePlan(spans=spans, **plan_args)
+def _root_cells(tree: FlatEpsilonKdbTree) -> Tuple[np.ndarray, np.ndarray]:
+    """Cell digits and point counts of the root's children."""
+    children = tree.root_children()
+    return tree.node_digit[children], tree.node_stop[children] - tree.node_start[children]
 
 
 # ----------------------------------------------------------------------
@@ -172,12 +102,6 @@ def _init_worker(segments: Dict[str, Tuple[str, Tuple[int, ...], str]]) -> None:
         _WORKER_POINTS[side] = np.ndarray(
             shape, dtype=np.dtype(dtype), buffer=shm.buf
         )
-
-
-# Upper bound of the last two-set flat task's cell range; absorbs any
-# floating-point disagreement between the stripe plan's cell count and
-# the grid's.
-_CELL_RANGE_END = 2 ** 62
 
 
 def _worker_flat_tree(prefix: str, spec: JoinSpec, grid: Grid) -> FlatEpsilonKdbTree:
@@ -332,9 +256,10 @@ def _release_shared(shm: shared_memory.SharedMemory) -> None:
 class ParallelJoinExecutor:
     """Run epsilon-kdB joins across a process pool of stripe tasks.
 
-    Degrades gracefully: ``n_workers=1``, inputs below
-    ``serial_threshold`` points, or a plan with a single stripe all run
-    the plain serial join — with output identical to the parallel path,
+    Degrades gracefully: ``n_workers=1`` and inputs below
+    ``serial_threshold`` points run the plain serial join, and a plan
+    with a single stripe runs it on the tree already built — with
+    output identical to the parallel path,
     which is itself byte-identical to the serial path (see module
     docstring).
 
@@ -355,8 +280,8 @@ class ParallelJoinExecutor:
 
     Args:
         spec: the join parameters; ``spec.n_workers``,
-            ``spec.stripe_overlap``, ``spec.task_timeout`` and
-            ``spec.max_task_retries`` supply defaults.
+            ``spec.task_timeout`` and ``spec.max_task_retries`` supply
+            defaults.
         n_workers: overrides ``spec.n_workers``; ``None`` falls back to
             the spec, then to ``os.cpu_count()``.
         stripes_per_worker: planned stripes per worker (load balance).
@@ -394,6 +319,10 @@ class ParallelJoinExecutor:
             raise InvalidParameterError(
                 f"n_workers must be >= 1, got {n_workers!r}"
             )
+        if int(stripes_per_worker) < 1:
+            raise InvalidParameterError(
+                f"stripes_per_worker must be >= 1, got {stripes_per_worker!r}"
+            )
         self.spec = spec
         self.n_workers = int(n_workers)
         self.stripes_per_worker = int(stripes_per_worker)
@@ -428,19 +357,7 @@ class ParallelJoinExecutor:
                 return self._serial(
                     lambda: epsilon_kdb_self_join(points, self.spec, sink=sink)
                 )
-            started = time.perf_counter()
-            with trace.span("plan") as plan_span:
-                dim = int(self.spec.resolved_split_order(points.shape[1])[0])
-                plan = plan_parallel_stripes(
-                    points[:, dim], self.spec, self.n_workers, self.stripes_per_worker
-                )
-                plan_span.set_attribute("stripes", plan.n_stripes)
-            if plan.n_stripes < 2:
-                trace.add_event("serial-fallback", reason="single stripe")
-                return self._serial(
-                    lambda: epsilon_kdb_self_join(points, self.spec, sink=sink)
-                )
-            return self._flat_self(points, dim, plan, sink, started)
+            return self._flat_self(points, sink)
 
     def join(
         self,
@@ -468,27 +385,27 @@ class ParallelJoinExecutor:
                 return self._serial(
                     lambda: epsilon_kdb_join(points_r, points_s, self.spec, sink=sink)
                 )
-            started = time.perf_counter()
-            with trace.span("plan") as plan_span:
-                dim = int(self.spec.resolved_split_order(points_r.shape[1])[0])
-                plan = plan_parallel_stripes(
-                    np.concatenate([points_r[:, dim], points_s[:, dim]]),
-                    self.spec,
-                    self.n_workers,
-                    self.stripes_per_worker,
-                )
-                plan_span.set_attribute("stripes", plan.n_stripes)
-            if plan.n_stripes < 2:
-                trace.add_event("serial-fallback", reason="single stripe")
-                return self._serial(
-                    lambda: epsilon_kdb_join(points_r, points_s, self.spec, sink=sink)
-                )
-            return self._flat_cross(points_r, points_s, plan, sink, started)
+            return self._flat_cross(points_r, points_s, sink)
 
     # ------------------------------------------------------------------
     # stripe execution over globally built flat trees
     # ------------------------------------------------------------------
-    def _flat_self(self, points, dim, plan, sink, started) -> JoinResult:
+    def _plan(self, cells: np.ndarray, counts: np.ndarray) -> List[slice]:
+        """Group root cells into stripes of about equal point counts.
+
+        Reuses the external driver's greedy :func:`plan_stripes` with a
+        *capacity* target of roughly ``points / (n_workers *
+        stripes_per_worker)`` instead of a memory budget.
+        """
+        with trace.span("plan", cells=len(cells)) as plan_span:
+            capacity = max(
+                2, -(-int(counts.sum()) // (self.n_workers * self.stripes_per_worker))
+            )
+            stripes = plan_stripes(cells, counts, capacity)
+            plan_span.set_attribute("stripes", len(stripes))
+        return stripes
+
+    def _flat_self(self, points, sink) -> JoinResult:
         """Parallel self-join over one globally built flat tree.
 
         One vectorized build in the parent; workers receive the permuted
@@ -498,6 +415,7 @@ class ParallelJoinExecutor:
         the serial traversal exactly — no boundary bands, no duplicate
         pairs, and no per-task index-list shipping.
         """
+        started = time.perf_counter()
         with trace.span(
             "build", points=len(points), dims=points.shape[1], epsilon=self.spec.epsilon
         ):
@@ -506,37 +424,16 @@ class ParallelJoinExecutor:
         def stamp(result: JoinResult) -> JoinResult:
             result.stats.build_nodes = tree.n_nodes
             result.stats.build_sort_seconds = tree.build_sort_seconds
-            result.stats.structure_cache_hits = 0
             return result
 
-        first = int(tree.node_first_child[0])
-        count = int(tree.node_n_children[0])
-        partitionable = (
-            count >= 2
-            and len(tree.level_dims)
-            and int(tree.level_dims[0]) == dim
-        )
-        if not partitionable:
-            trace.add_event("serial-fallback", reason="flat root not partitionable")
-            return stamp(
-                self._serial(
-                    lambda: epsilon_kdb_self_join(
-                        points, self.spec, sink=sink, tree=tree
-                    )
-                )
-            )
-        child_digits = tree.node_digit[first:first + count]
-        bounds = (
-            [0]
-            + [
-                int(np.searchsorted(child_digits, stop))
-                for _, stop in plan.spans[:-1]
-            ]
-            + [count]
-        )
-        tasks = [
-            (lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
+        def serial() -> JoinResult:
+            return epsilon_kdb_self_join(points, self.spec, sink=sink, tree=tree)
+
+        stripes = self._plan(*_root_cells(tree))
+        if len(stripes) < 2:
+            trace.add_event("serial-fallback", reason="single stripe")
+            return stamp(self._serial(serial))
+        tasks = [(span.start, span.stop) for span in stripes]
         segments = {
             "a": tree.points_flat,
             "a_perm": tree.perm,
@@ -550,27 +447,21 @@ class ParallelJoinExecutor:
                 _flat_self_stripe_task, tasks, segments, started
             )
         except DegradeToSerial as signal:
-            return stamp(
-                self._degraded_serial(
-                    lambda: epsilon_kdb_self_join(
-                        points, self.spec, sink=sink, tree=tree
-                    ),
-                    signal,
-                )
-            )
+            return stamp(self._degraded_serial(serial, signal))
         return stamp(
-            self._merge(
-                outcomes, planned, plan, sink, canonicalize_self_pairs, resilience
-            )
+            self._merge(outcomes, planned, sink, canonicalize_self_pairs, resilience)
         )
 
-    def _flat_cross(self, points_r, points_s, plan, sink, started) -> JoinResult:
+    def _flat_cross(self, points_r, points_s, sink) -> JoinResult:
         """Parallel two-set join over two globally built flat trees.
 
-        Tasks own half-open root-cell ranges; the task owning cell ``g``
-        joins ``(R_g, S_g)``, ``(R_g, S_{g+1})`` and ``(R_{g+1}, S_g)``,
-        which partitions the adjacent child pairs exactly.
+        Stripes are planned over the union of both roots' cells, sized
+        by the two sides' summed counts.  Tasks own half-open root-cell
+        ranges; the task owning cell ``g`` joins ``(R_g, S_g)``,
+        ``(R_g, S_{g+1})`` and ``(R_{g+1}, S_g)``, which partitions the
+        adjacent child pairs exactly.
         """
+        started = time.perf_counter()
         with trace.span(
             "build",
             points_r=len(points_r),
@@ -582,42 +473,19 @@ class ParallelJoinExecutor:
             tree_r = FlatEpsilonKdbTree.build(points_r, self.spec, grid=grid)
             tree_s = FlatEpsilonKdbTree.build(points_s, self.spec, grid=grid)
 
-        def stamp(result: JoinResult) -> JoinResult:
-            result.stats.build_nodes = tree_r.n_nodes + tree_s.n_nodes
-            result.stats.build_sort_seconds = (
-                tree_r.build_sort_seconds + tree_s.build_sort_seconds
-            )
-            result.stats.structure_cache_hits = 0
-            return result
+        def serial() -> JoinResult:
+            return join_flat_trees(tree_r, tree_s, self.spec, sink=sink)
 
-        partitionable = (
-            int(tree_r.node_n_children[0]) >= 1
-            and int(tree_s.node_n_children[0]) >= 1
-            and len(tree_r.level_dims)
-            and int(tree_r.level_dims[0]) == plan.dim
-        )
-        if not partitionable:
-            trace.add_event("serial-fallback", reason="flat root not partitionable")
-            return stamp(
-                self._serial(
-                    lambda: epsilon_kdb_join(
-                        points_r, points_s, self.spec, sink=sink
-                    )
-                )
-            )
-        r_first = int(tree_r.node_first_child[0])
-        s_first = int(tree_s.node_first_child[0])
-        occupied = np.union1d(
-            tree_r.node_digit[r_first:r_first + int(tree_r.node_n_children[0])],
-            tree_s.node_digit[s_first:s_first + int(tree_s.node_n_children[0])],
-        )
-        tasks = []
-        for index, (start, stop) in enumerate(plan.spans):
-            cell_hi = _CELL_RANGE_END if index == plan.n_stripes - 1 else int(stop)
-            lo = int(np.searchsorted(occupied, start))
-            hi = int(np.searchsorted(occupied, cell_hi))
-            if hi > lo:
-                tasks.append((int(start), cell_hi))
+        roots = (_root_cells(tree_r), _root_cells(tree_s))
+        cells, counts = merge_cell_counts(*zip(*roots))
+        stripes = self._plan(cells, counts)
+        # Both roots must split for the root-cell ranges to cover the
+        # join; a leaf root (too few points on one side) runs serially.
+        if len(stripes) < 2 or not all(len(root_cells) for root_cells, _ in roots):
+            trace.add_event("serial-fallback", reason="nothing to partition")
+            return self._serial(serial)
+        bounds = [int(cells[span.start]) for span in stripes] + [int(cells[-1]) + 1]
+        tasks = list(zip(bounds[:-1], bounds[1:]))
         segments = {
             "r": tree_r.points_flat,
             "r_perm": tree_r.perm,
@@ -636,19 +504,15 @@ class ParallelJoinExecutor:
                 _flat_cross_stripe_task, tasks, segments, started
             )
         except DegradeToSerial as signal:
-            return stamp(
-                self._degraded_serial(
-                    lambda: epsilon_kdb_join(
-                        points_r, points_s, self.spec, sink=sink
-                    ),
-                    signal,
-                )
-            )
-        return stamp(
-            self._merge(
-                outcomes, planned, plan, sink, canonicalize_two_set_pairs, resilience
-            )
+            return self._degraded_serial(serial, signal)
+        result = self._merge(
+            outcomes, planned, sink, canonicalize_two_set_pairs, resilience
         )
+        result.stats.build_nodes = tree_r.n_nodes + tree_s.n_nodes
+        result.stats.build_sort_seconds = (
+            tree_r.build_sort_seconds + tree_s.build_sort_seconds
+        )
+        return result
 
     # ------------------------------------------------------------------
     def _serial(self, run) -> JoinResult:
@@ -896,7 +760,7 @@ class ParallelJoinExecutor:
                 time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
 
     def _merge(
-        self, outcomes, planned, plan, sink, canonicalize, resilience=None
+        self, outcomes, planned, sink, canonicalize, resilience=None
     ) -> JoinResult:
         result = JoinResult()
         stats = result.stats
@@ -912,7 +776,7 @@ class ParallelJoinExecutor:
             else:
                 raw = np.empty((0, 2), dtype=np.int64)
             canonical = canonicalize(raw[:, 0], raw[:, 1])
-            stats.stripes = plan.n_stripes
+            stats.stripes = len(outcomes)
             stats.workers_used = min(self.n_workers, max(1, len(outcomes)))
             stats.duplicate_pairs_merged = len(raw) - len(canonical)
             merge_span.set_attribute("pairs", len(canonical))

@@ -67,8 +67,6 @@ class JoinStats:
             join; filled in by the flat build (0 on the pointer path).
         build_sort_seconds: wall-clock the flat build spent in its
             ``lexsort`` calls, the dominant build cost.
-        structure_cache_hits: tree builds satisfied from a
-            :class:`~repro.core.flat_build.TreeCache` instead of sorting.
         updates_applied: insert/delete batches an incremental session
             applied (:mod:`repro.core.incremental`); 0 for batch joins.
         delta_size: live rows currently in the incremental session's
@@ -133,7 +131,6 @@ class JoinStats:
     coordinates_touched: int = 0
     build_nodes: int = 0
     build_sort_seconds: float = 0.0
-    structure_cache_hits: int = 0
     updates_applied: int = 0
     delta_size: int = 0
     compactions: int = 0
@@ -204,7 +201,6 @@ class JoinStats:
         self.coordinates_touched += other.coordinates_touched
         self.build_nodes += other.build_nodes
         self.build_sort_seconds += other.build_sort_seconds
-        self.structure_cache_hits += other.structure_cache_hits
         self.updates_applied += other.updates_applied
         self.delta_size = max(self.delta_size, other.delta_size)
         self.compactions += other.compactions

@@ -7,14 +7,13 @@ functions here generate those candidate position pairs without a Python
 loop, using the classic repeat/cumsum trick to expand variable-length
 windows.
 
-:func:`epsilon_sweep` runs one self-join per threshold over a shared
-:class:`~repro.core.flat_build.TreeCache`, so a sweep pays for a single
-flat build instead of one per epsilon.
+:func:`epsilon_sweep` runs one self-join per threshold, each over a
+fresh flat tree built for that threshold.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -128,42 +127,31 @@ def band_pairs_cross(
 def epsilon_sweep(
     points: np.ndarray,
     epsilons: Sequence[float],
-    cache=None,
     return_stats: bool = False,
     **spec_kwargs,
 ):
-    """Self-join ``points`` at every threshold, reusing one flat tree.
+    """Self-join ``points`` at every threshold, in the order given.
 
-    Thresholds are processed in descending order so the first (coarsest)
-    build satisfies every later request from the cache — a tree built at
-    a larger epsilon answers any smaller one exactly (its cells are at
-    least as wide as required).  Results are returned in the order the
-    ``epsilons`` were given; each carries its *own* per-epsilon counters
-    (``structure_cache_hits`` is 0 or 1 per result — which joins reused
-    the structure, not just how many).  With ``return_stats=True`` the
-    return value is ``(results, aggregate)`` where ``aggregate`` is the
-    merged :class:`~repro.core.result.JoinStats` of the whole sweep; the
-    per-epsilon ``structure_cache_hits`` sum to the aggregate's (and to
-    the cache's ``hits`` delta).  ``spec_kwargs`` are forwarded to
-    :class:`~repro.core.config.JoinSpec` (metric, leaf_size, ...);
-    ``cache`` accepts a pre-populated
-    :class:`~repro.core.flat_build.TreeCache` to share across sweeps.
+    Each join builds its own flat tree: the build costs milliseconds,
+    while reusing a coarser tree for a finer threshold made its
+    traversal slower than the build it saved (E17).  Each result
+    carries its own per-epsilon counters.  With ``return_stats=True``
+    the return value is ``(results, aggregate)`` where ``aggregate`` is
+    the merged :class:`~repro.core.result.JoinStats` of the whole sweep.
+    ``spec_kwargs`` are forwarded to :class:`~repro.core.config.JoinSpec`
+    (metric, leaf_size, ...).
     """
     # Imported here: join (and flat_build via join) import this module.
     from repro.core.config import JoinSpec
-    from repro.core.flat_build import TreeCache
     from repro.core.join import epsilon_kdb_self_join
     from repro.core.result import JoinStats
 
-    if cache is None:
-        cache = TreeCache()
-    order = sorted(
-        range(len(epsilons)), key=lambda i: -float(epsilons[i])
-    )
-    results: List[Optional[object]] = [None] * len(epsilons)
-    for index in order:
-        spec = JoinSpec(epsilon=float(epsilons[index]), **spec_kwargs)
-        results[index] = epsilon_kdb_self_join(points, spec, structure_cache=cache)
+    results = [
+        epsilon_kdb_self_join(
+            points, JoinSpec(epsilon=float(epsilon), **spec_kwargs)
+        )
+        for epsilon in epsilons
+    ]
     if not return_stats:
         return results
     aggregate = JoinStats()

@@ -1,9 +1,7 @@
 """Per-tenant session state for the serving layer.
 
-A *tenant* is one named dataset with its own engine state, its own
-:class:`TreeCache` (so an epsilon sweep by one tenant never evicts
-another's structures), and an ``asyncio.Lock`` that serializes
-mutations.  Reads (range queries, mini-joins, pair enumeration) go
+A *tenant* is one named dataset with its own engine state and an
+``asyncio.Lock`` that serializes mutations.  Reads (range queries, mini-joins, pair enumeration) go
 straight to the engine without the lock: the engine is synchronous
 numpy code, so a read that has started runs to completion before the
 event loop can schedule a mutation — tasks only interleave at ``await``
@@ -34,7 +32,6 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.core.config import JoinSpec
-from repro.core.flat_build import TreeCache
 from repro.core.incremental import IncrementalJoin, UpdateDelta
 from repro.core.join import epsilon_kdb_join
 from repro.core.parallel import parallel_join
@@ -301,7 +298,6 @@ class SessionManager:
                     "spec; detach it first to change structural parameters"
                 )
             return existing
-        cache = TreeCache()
         session: Optional[TenantSession] = None
         if path is not None:
             def opener() -> IncrementalJoin:
@@ -309,7 +305,6 @@ class SessionManager:
                     path,
                     spec=spec,
                     sync_mode=sync_mode,
-                    structure_cache=cache,
                     keep_generations=keep_generations,
                 )
 
@@ -323,9 +318,7 @@ class SessionManager:
                 )
             if keep_generations is not None:
                 spec = replace(spec, keep_generations=keep_generations)
-            session = TenantSession(
-                name, IncrementalJoin(spec, structure_cache=cache)
-            )
+            session = TenantSession(name, IncrementalJoin(spec))
         self._tenants[name] = session
         return session
 

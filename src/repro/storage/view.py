@@ -88,10 +88,9 @@ class SnapshotView:
                 eps=float(grid_meta["eps"]),
                 n_cells=np.asarray(grid_meta["n_cells"], dtype=np.int64),
             )
-            # The tree may have been built at a coarser epsilon (shared
-            # TreeCache reuse); adopt its build spec so the query-radius
-            # validation reflects what the structure actually supports.
-            tree_epsilon = float(meta["tree"]["epsilon"])
+            # The stored grid alone makes the tree exact: a tree built
+            # at a coarser epsilon (older snapshots) keeps its wider
+            # cells, which only over-approximate the adjacency rule.
             # cascade="off": the filter-cascade kernels build a (d, n)
             # column store over *all* points on first use — a full
             # transpose copy of the dataset, i.e. exactly the
@@ -99,22 +98,13 @@ class SnapshotView:
             # leaf path instead fancy-indexes only candidate rows out
             # of the memmap, touching just the pages a query needs.
             # Results are byte-identical either way.
-            tree_spec = replace(
-                self.spec,
-                cascade="off",
-                **(
-                    {}
-                    if tree_epsilon == self.spec.epsilon
-                    else {"epsilon": tree_epsilon}
-                ),
-            )
             self._tree: Optional[FlatEpsilonKdbTree] = (
                 FlatEpsilonKdbTree.from_arrays(
                     np.asarray(arrays["points_flat"], dtype=np.float64),
                     np.asarray(arrays["perm"], dtype=np.int64),
                     np.asarray(arrays["digits"], dtype=np.int64),
                     np.asarray(arrays["packed_nodes"], dtype=np.int64),
-                    tree_spec,
+                    replace(self.spec, cascade="off"),
                     grid,
                 )
             )

@@ -11,20 +11,27 @@ from repro.errors import InvalidParameterError
 from repro.storage import PageStore
 
 
+def _occupied(histogram):
+    """Sparse (cells, counts) form of a dense per-cell histogram."""
+    histogram = np.asarray(histogram)
+    cells = np.flatnonzero(histogram)
+    return cells, histogram[cells]
+
+
 class TestPlanStripes:
     def test_respects_capacity(self):
         rng = np.random.default_rng(1)
-        histogram = rng.integers(0, 20, size=50)
-        stripes = plan_stripes(histogram, capacity=40)
+        cells, counts = _occupied(rng.integers(0, 20, size=50))
+        stripes = plan_stripes(cells, counts, capacity=40)
         for s in stripes:
-            total = int(histogram[s].sum())
-            assert total <= 40 or int((histogram[s] > 0).sum()) == 1
+            total = int(counts[s].sum())
+            assert total <= 40 or s.stop - s.start == 1
 
     def test_groups_consecutive_cells(self):
         histogram = np.array([10, 10, 10, 10, 10])
         # Capacity 35 fits two cells (20) plus the reserved band cell
         # (10); the final stripe has no band, so three cells (30) fit.
-        stripes = plan_stripes(histogram, capacity=35)
+        stripes = plan_stripes(*_occupied(histogram), capacity=35)
         assert [(s.start, s.stop) for s in stripes] == [(0, 2), (2, 5)]
 
     def test_reserves_room_for_the_band_cell(self):
@@ -32,41 +39,52 @@ class TestPlanStripes:
         # Cell 0 + cell 1 (20) would leave no room for cell 2's band
         # (10), so the first stripe is a single cell; the trailing
         # stripe has no band and takes both remaining cells.
-        stripes = plan_stripes(histogram, capacity=25)
+        stripes = plan_stripes(*_occupied(histogram), capacity=25)
         assert [(s.start, s.stop) for s in stripes] == [(0, 1), (1, 3)]
+
+    def test_no_band_reserved_across_an_empty_cell(self):
+        # Cells 0, 1 and 3: cell 2 is empty, so no pair crosses from
+        # cell 1 to cell 3 and cell 3 needs no room next to cells 0-1.
+        stripes = plan_stripes(np.array([0, 1, 3]), np.array([10, 10, 10]), 25)
+        assert [(s.start, s.stop) for s in stripes] == [(0, 2), (2, 3)]
 
     def test_stripe_plus_band_cell_fits_capacity(self):
         rng = np.random.default_rng(2)
-        histogram = rng.integers(0, 15, size=60)
+        cells, counts = _occupied(rng.integers(0, 15, size=60))
         capacity = 40
-        stripes = plan_stripes(histogram, capacity)
+        stripes = plan_stripes(cells, counts, capacity)
         for k, s in enumerate(stripes):
-            band = (
-                int(histogram[stripes[k + 1].start])
-                if k + 1 < len(stripes)
-                else 0
-            )
-            total = int(histogram[s].sum()) + band
+            band = 0
+            if k + 1 < len(stripes):
+                following = stripes[k + 1].start
+                if cells[following] == cells[s.stop - 1] + 1:
+                    band = int(counts[following])
+            total = int(counts[s].sum()) + band
             if total > capacity:
                 # only permissible for an oversized lone cell
-                assert int((histogram[s] > 0).sum()) == 1
+                assert s.stop - s.start == 1
 
     def test_single_stripe_when_capacity_suffices(self):
-        stripes = plan_stripes(np.array([5, 5, 5]), capacity=100)
+        stripes = plan_stripes(*_occupied([5, 5, 5]), capacity=100)
         assert [(s.start, s.stop) for s in stripes] == [(0, 3)]
 
     def test_oversized_cell_becomes_own_stripe(self):
-        stripes = plan_stripes(np.array([3, 50, 3]), capacity=10)
+        stripes = plan_stripes(*_occupied([3, 50, 3]), capacity=10)
         assert (1, 2) in [(s.start, s.stop) for s in stripes]
 
     def test_covers_every_cell_exactly_once(self):
         rng = np.random.default_rng(0)
-        histogram = rng.integers(0, 30, size=40)
-        stripes = plan_stripes(histogram, capacity=60)
+        cells, counts = _occupied(rng.integers(0, 30, size=40))
+        stripes = plan_stripes(cells, counts, capacity=60)
         covered = []
         for s in stripes:
             covered.extend(range(s.start, s.stop))
-        assert covered == list(range(40))
+        assert covered == list(range(len(cells)))
+
+    def test_cost_follows_occupied_cells_not_span(self):
+        # Two occupied cells a billion cells apart plan instantly.
+        stripes = plan_stripes(np.array([0, 10**9]), np.array([4, 4]), 5)
+        assert [(s.start, s.stop) for s in stripes] == [(0, 1), (1, 2)]
 
 
 class TestExternalJoinCorrectness:

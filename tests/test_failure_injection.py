@@ -22,7 +22,7 @@ from repro import (
 )
 from repro.core import epsilon_kdb_join, epsilon_kdb_self_join
 from repro.core.join import _cross_join, _flatten
-from repro.core.parallel import ParallelJoinExecutor, plan_parallel_stripes
+from repro.core.parallel import ParallelJoinExecutor
 from repro.errors import (
     DomainError,
     InvalidParameterError,
@@ -144,12 +144,6 @@ class TestNonFiniteInputs:
         hi[1] = bad_value
         with pytest.raises(InvalidParameterError):
             Grid.fit(points, eps=0.1, lo=lo, hi=hi)
-
-    def test_stripe_planner_rejects_non_finite_values(self):
-        values = np.random.default_rng(4).random(50)
-        values[17] = np.nan
-        with pytest.raises(InvalidParameterError):
-            plan_parallel_stripes(values, JoinSpec(epsilon=0.1), n_workers=2)
 
 
 # ----------------------------------------------------------------------

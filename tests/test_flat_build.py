@@ -1,4 +1,4 @@
-"""Tests for the flat vectorized epsilon-kdB build and its TreeCache.
+"""Tests for the flat vectorized epsilon-kdB build.
 
 The contract under test: the flat build (radix cell-coding + stable
 whole-array sorts + CSR leaf layout) produces the *same leaf partition* as the
@@ -7,8 +7,7 @@ and equal counters to the recursive pointer traversal (the reference,
 reached through :func:`_oracles.pointer_self_join` /
 :func:`_oracles.pointer_join`) through every engine — serial, parallel
 (in-process and pooled, including under injected faults), and
-external-memory.  Plus the cross-epsilon structure reuse of
-:class:`~repro.core.flat_build.TreeCache` / :func:`repro.epsilon_sweep`.
+external-memory.  Plus reuse of a pre-built tree at a smaller epsilon.
 """
 
 import numpy as np
@@ -16,16 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (
-    assert_same_pairs,
-    oracle_self_pairs,
-    pointer_join,
-    pointer_self_join,
-)
-from repro import JoinSpec, epsilon_sweep
+from _oracles import pointer_join, pointer_self_join
+from repro import JoinSpec
 from repro.core.epsilon_kdb import EpsilonKdbTree, Grid
 from repro.core.external import external_self_join
-from repro.core.flat_build import FlatEpsilonKdbTree, TreeCache
+from repro.core.flat_build import FlatEpsilonKdbTree
 from repro.core.join import epsilon_kdb_join, epsilon_kdb_self_join
 from repro.core.parallel import ParallelJoinExecutor
 from repro.core.resilience import FaultPlan
@@ -197,7 +191,6 @@ class TestSerialEquivalence:
         result = epsilon_kdb_self_join(small_uniform, _spec())
         assert result.stats.build_nodes > 0
         assert result.stats.build_sort_seconds > 0.0
-        assert result.stats.structure_cache_hits == 0
         pointer = pointer_self_join(small_uniform, _spec())
         assert pointer.stats.build_nodes == 0
 
@@ -308,7 +301,7 @@ class TestEngineEquivalence:
 
 
 # ----------------------------------------------------------------------
-# prebuilt trees and the structure cache
+# prebuilt trees
 # ----------------------------------------------------------------------
 class TestTreeReuse:
     def test_prebuilt_flat_tree_reused(self, small_uniform):
@@ -345,183 +338,30 @@ class TestTreeReuse:
         with pytest.raises(InvalidParameterError, match="pre-built tree"):
             epsilon_kdb_self_join(points, spec, tree=wider)
 
-    def test_cache_hit_on_smaller_epsilon(self, small_uniform):
-        cache = TreeCache()
-        first = epsilon_kdb_self_join(
-            small_uniform, _spec(epsilon=0.3), structure_cache=cache
-        )
-        second = epsilon_kdb_self_join(
-            small_uniform, _spec(epsilon=0.2), structure_cache=cache
-        )
-        assert first.stats.structure_cache_hits == 0
-        assert second.stats.structure_cache_hits == 1
-        assert second.stats.build_sort_seconds == 0.0
-        assert cache.hits == 1 and cache.misses == 1
-        fresh = epsilon_kdb_self_join(small_uniform, _spec(epsilon=0.2))
-        assert _pair_bytes(second) == _pair_bytes(fresh)
-
-    def test_cache_rebuilds_on_larger_epsilon(self, small_uniform):
-        cache = TreeCache()
-        epsilon_kdb_self_join(
-            small_uniform, _spec(epsilon=0.1), structure_cache=cache
-        )
-        result = epsilon_kdb_self_join(
-            small_uniform, _spec(epsilon=0.3), structure_cache=cache
-        )
-        assert result.stats.structure_cache_hits == 0
-        assert cache.misses == 2
-        fresh = epsilon_kdb_self_join(small_uniform, _spec(epsilon=0.3))
-        assert _pair_bytes(result) == _pair_bytes(fresh)
-
-    def test_cache_misses_on_different_data(self, rng):
-        cache = TreeCache()
-        a = rng.random((300, 4))
-        b = rng.random((300, 4))
-        epsilon_kdb_self_join(a, _spec(epsilon=0.3), structure_cache=cache)
-        result = epsilon_kdb_self_join(
-            b, _spec(epsilon=0.2), structure_cache=cache
-        )
-        assert result.stats.structure_cache_hits == 0
-        assert len(cache) == 2
-
-    def test_cache_lru_eviction(self, rng):
-        cache = TreeCache(max_entries=2)
-        sets = [rng.random((100, 3)) for _ in range(3)]
-        for points in sets:
-            cache.get_or_build(points, JoinSpec(epsilon=0.2))
-        assert len(cache) == 2
-        # The first set was evicted: requesting it again is a miss.
-        _, hit = cache.get_or_build(sets[0], JoinSpec(epsilon=0.2))
-        assert not hit
-
-    def test_cache_validates_max_entries(self):
-        with pytest.raises(InvalidParameterError):
-            TreeCache(max_entries=0)
-
-    def test_cache_lru_hit_refreshes_recency(self, rng):
-        """A hit moves the entry to the back of the eviction queue."""
-        cache = TreeCache(max_entries=2)
-        sets = [rng.random((80, 3)) for _ in range(3)]
-        spec = JoinSpec(epsilon=0.2)
-        cache.get_or_build(sets[0], spec)
-        cache.get_or_build(sets[1], spec)
-        _, hit = cache.get_or_build(sets[0], spec)  # refresh the oldest
-        assert hit
-        cache.get_or_build(sets[2], spec)  # must evict sets[1], not sets[0]
-        _, hit_refreshed = cache.get_or_build(sets[0], spec)
-        assert hit_refreshed
-        _, hit_evicted = cache.get_or_build(sets[1], spec)
-        assert not hit_evicted
-
-    def test_cache_keys_separate_spec_knobs(self, rng):
-        """Same points under a different metric, leaf size, split order
-        or sort dimension must build distinct entries — a collision would
-        hand a join a tree partitioned for the wrong parameters."""
-        points = rng.random((120, 4))
-        cache = TreeCache(max_entries=8)
-        variants = [
-            JoinSpec(epsilon=0.2),
-            JoinSpec(epsilon=0.2, metric="l1"),
-            JoinSpec(epsilon=0.2, leaf_size=16),
-            JoinSpec(epsilon=0.2, split_order=(3, 2, 1, 0)),
-            JoinSpec(epsilon=0.2, sort_dim=0),
-        ]
-        for spec in variants:
-            _, hit = cache.get_or_build(points, spec)
-            assert not hit, spec
-        assert len(cache) == len(variants)
-        assert cache.misses == len(variants)
-        # ... and each repeat request finds exactly its own entry.
-        for spec in variants:
-            _, hit = cache.get_or_build(points, spec)
-            assert hit, spec
-
-    def test_cache_key_is_dtype_canonical(self, rng):
-        """float32 input is coerced to float64 before fingerprinting, so
-        the same values in either dtype share one cache entry."""
-        cache = TreeCache()
-        wide = rng.random((150, 3)).astype(np.float32)
-        spec = JoinSpec(epsilon=0.25)
-        cache.get_or_build(wide.astype(np.float64), spec)
-        _, hit = cache.get_or_build(wide, spec)
-        assert hit
-        assert len(cache) == 1
-
-    def test_cache_bounds_change_between_sweeps(self, rng):
-        """Appending out-of-box outliers changes the fingerprint: the old
-        entry is not reused, the rebuilt grid covers the outliers, and
-        both sweeps stay exact."""
-        cache = TreeCache()
-        core = rng.random((200, 3))
-        outliers = rng.random((20, 3)) * 4.0 - 1.5  # escapes [0, 1]^3
-        grown = np.vstack([core, outliers])
-        for points in (core, grown):
-            results, aggregate = epsilon_sweep(
-                points, [0.3, 0.2], cache=cache, return_stats=True
-            )
-            for eps, result in zip([0.3, 0.2], results):
-                expected = oracle_self_pairs(points, _spec(epsilon=eps))
-                assert_same_pairs(result.pairs, expected, f"sweep eps={eps}")
-            assert aggregate.structure_cache_hits == 1  # within-sweep only
-        assert cache.misses == 2  # one build per distinct point set
-        tree, hit = cache.get_or_build(grown, JoinSpec(epsilon=0.2))
-        assert hit
-        assert (tree.grid.lo <= grown.min(axis=0)).all()
-        assert (tree.grid.hi >= grown.max(axis=0)).all()
-
-    def test_epsilon_sweep_reuses_structure(self, small_uniform):
-        cache = TreeCache()
-        epsilons = [0.15, 0.3, 0.2]
-        results = epsilon_sweep(small_uniform, epsilons, cache=cache)
-        hits = [r.stats.structure_cache_hits for r in results]
-        assert sum(hits) == 2  # all but the coarsest build hit the cache
-        assert hits[1] == 0  # the largest epsilon pays the one build
-        for eps, result in zip(epsilons, results):
-            fresh = epsilon_kdb_self_join(small_uniform, _spec(epsilon=eps))
-            assert _pair_bytes(result) == _pair_bytes(fresh)
-
-    def test_epsilon_sweep_less_build_time_than_solo(self, small_clusters):
-        epsilons = [0.1, 0.15, 0.2, 0.25]
-        swept = epsilon_sweep(small_clusters, epsilons)
-        solo = [
-            epsilon_kdb_self_join(small_clusters, _spec(epsilon=eps))
-            for eps in epsilons
-        ]
-        assert sum(r.stats.build_sort_seconds for r in swept) < sum(
-            r.stats.build_sort_seconds for r in solo
-        )
-
 
 # ----------------------------------------------------------------------
 # stats plumbing (CLI renderer + metrics ingestion)
 # ----------------------------------------------------------------------
 class TestStatsPlumbing:
     def test_as_dict_round_trips_build_counters(self):
-        stats = JoinStats(
-            build_nodes=42, build_sort_seconds=0.5, structure_cache_hits=3
-        )
+        stats = JoinStats(build_nodes=42, build_sort_seconds=0.5)
         data = stats.as_dict()
         assert data["build_nodes"] == 42
         assert data["build_sort_seconds"] == 0.5
-        assert data["structure_cache_hits"] == 3
 
     def test_merge_accumulates_build_counters(self):
-        a = JoinStats(build_nodes=10, build_sort_seconds=0.25, structure_cache_hits=1)
-        b = JoinStats(build_nodes=5, build_sort_seconds=0.5, structure_cache_hits=2)
+        a = JoinStats(build_nodes=10, build_sort_seconds=0.25)
+        b = JoinStats(build_nodes=5, build_sort_seconds=0.5)
         a.merge(b)
         assert a.build_nodes == 15
         assert a.build_sort_seconds == 0.75
-        assert a.structure_cache_hits == 3
 
     def test_metrics_ingest_build_counters(self):
         registry = MetricsRegistry()
-        stats = JoinStats(
-            build_nodes=7, build_sort_seconds=0.125, structure_cache_hits=2
-        )
+        stats = JoinStats(build_nodes=7, build_sort_seconds=0.125)
         registry.ingest_stats(stats)
         assert registry.counter("join.build_nodes").value == 7
         assert registry.gauge("join.build_sort_seconds").value == 0.125
-        assert registry.counter("join.structure_cache_hits").value == 2
 
     def test_cli_renders_build_counters(self, capsys):
         from repro.cli import _print_stats
@@ -531,10 +371,8 @@ class TestStatsPlumbing:
                 pairs_emitted=1,
                 build_nodes=1500,
                 build_sort_seconds=0.25,
-                structure_cache_hits=2,
             )
         )
         out = capsys.readouterr().out
         assert "tree nodes built:" in out and "1.5k" in out
         assert "build sort time:" in out and "250" in out
-        assert "structure cache hits:" in out

@@ -332,25 +332,6 @@ class TestCompaction:
         session.compact()  # no delta, no tombstones -> no-op
         assert session.stats.compactions == 1
 
-    def test_tree_cache_reuse_across_compactions(self):
-        """Deleting a batch and re-inserting identical content makes the
-        compacted base byte-identical to a previous one, so the shared
-        TreeCache serves the rebuild without sorting."""
-        rng = np.random.default_rng(24)
-        base = rng.random((40, 3))
-        extra = rng.random((10, 3))
-        spec = JoinSpec(epsilon=0.3, leaf_size=8)
-        session = IncrementalJoin(spec)
-        session.insert(base)
-        session.compact()
-        delta = session.insert(extra)
-        session.compact()  # caches the (base + extra) tree
-        assert session.stats.structure_cache_hits == 0
-        session.delete(delta.ids)
-        session.insert(extra)  # same coordinates, new ids
-        session.compact()  # same point content in the same order
-        assert session.stats.structure_cache_hits == 1
-
     def test_injected_fault_is_retried_and_counted(self):
         rng = np.random.default_rng(25)
         plan = FaultPlan(seed=9).fail_page_read(0)

@@ -8,7 +8,6 @@ from repro.core.kernels import (
     DEFAULT_BLOCK_DIMS,
     KernelContext,
     KernelPlan,
-    KernelSource,
     build_kernel_context,
     plan_cascade,
 )
@@ -176,47 +175,6 @@ class TestEquivalence:
         )
         context = KernelContext(plan, spec, np.ascontiguousarray(points.T))
         assert (context.within_rows(rows_a, rows_b) == reference).all()
-
-
-class TestRowMaps:
-    def test_row_map_translates_local_rows(self):
-        points, _, _ = _random_case(7, n=200)
-        rng = np.random.default_rng(8)
-        members = np.sort(rng.choice(200, size=80, replace=False))
-        local = points[members]
-        rows_a = rng.integers(0, 80, size=1500)
-        rows_b = rng.integers(0, 80, size=1500)
-        spec = JoinSpec(epsilon=0.9)
-        source = KernelSource(
-            cols_a=np.ascontiguousarray(points.T), row_map_a=members
-        )
-        context = _context(spec, local, source=source)
-        expected = L2.within_rows(local, local, rows_a, rows_b, 0.9)
-        assert (context.within_rows(rows_a, rows_b) == expected).all()
-
-    def test_cross_row_maps(self):
-        rng = np.random.default_rng(9)
-        points_r = rng.random((150, 10))
-        points_s = rng.random((130, 10))
-        members_r = np.sort(rng.choice(150, size=60, replace=False))
-        members_s = np.sort(rng.choice(130, size=50, replace=False))
-        rows_a = rng.integers(0, 60, size=1200)
-        rows_b = rng.integers(0, 50, size=1200)
-        spec = JoinSpec(epsilon=0.8)
-        source = KernelSource(
-            cols_a=np.ascontiguousarray(points_r.T),
-            row_map_a=members_r,
-            cols_b=np.ascontiguousarray(points_s.T),
-            row_map_b=members_s,
-        )
-        context = _context(
-            spec, points_r[members_r], points_b=points_s[members_s],
-            source=source,
-        )
-        expected = L2.within_rows(
-            points_r[members_r], points_s[members_s], rows_a, rows_b, 0.8
-        )
-        assert (context.within_rows(rows_a, rows_b) == expected).all()
 
 
 class TestStats:

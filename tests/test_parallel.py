@@ -8,6 +8,8 @@ across runs, and the observability counters.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from repro import (
     PairCounter,
     epsilon_kdb_join,
     epsilon_kdb_self_join,
+    external_join,
+    external_self_join,
     parallel_join,
     parallel_self_join,
     similarity_join,
@@ -84,17 +88,6 @@ def test_two_set_join_invariant_to_worker_count(n_workers):
     assert executor.join(r, s).pairs.tobytes() == expected.tobytes()
 
 
-def test_wider_overlap_changes_nothing():
-    points = make_points(n=900)
-    spec = JoinSpec(epsilon=0.3, stripe_overlap=0.55)
-    expected = epsilon_kdb_self_join(points, spec).pairs
-    executor = ParallelJoinExecutor(
-        spec, n_workers=4, serial_threshold=64, use_processes=False
-    )
-    result = executor.self_join(points)
-    assert result.pairs.tobytes() == expected.tobytes()
-
-
 # ----------------------------------------------------------------------
 # determinism: same spec + seed => byte-identical ordering across runs
 # ----------------------------------------------------------------------
@@ -139,15 +132,82 @@ def test_tiny_input_runs_serial_path():
 
 
 def test_single_stripe_domain_runs_serial_path():
-    # All mass in one dimension-0 cell: nothing to partition.
-    points = make_points(n=600)
-    points[:, 0] *= 0.01
+    # All mass in one cell of every dimension: the tree's root is a
+    # leaf, so there is nothing to partition.
+    points = make_points(n=600) * 0.01
     spec = JoinSpec(epsilon=0.3)
     result = ParallelJoinExecutor(
         spec, n_workers=4, serial_threshold=64
     ).self_join(points)
     assert result.stats.workers_used == 0
     assert_same_pairs(result.pairs, oracle_self_pairs(points, spec), "1-stripe")
+
+
+def test_splits_on_the_tree_first_split_dimension():
+    """Column 0 is constant, so the tree splits on column 1 first; the
+    stripes follow the tree rather than ``split_order[0]``."""
+    points = np.random.default_rng(17).random((4000, 3))
+    points[:, 0] = 0.5
+    spec = JoinSpec(epsilon=0.05)
+    expected = epsilon_kdb_self_join(points, spec).pairs
+    for use_processes in (False, True):
+        result = ParallelJoinExecutor(
+            spec, n_workers=2, use_processes=use_processes
+        ).self_join(points)
+        assert result.stats.stripes >= 2
+        assert result.stats.workers_used >= 1
+        assert result.pairs.tobytes() == expected.tobytes()
+    r, s = points[:2500], points[2500:]
+    result = ParallelJoinExecutor(spec, n_workers=2, use_processes=False).join(r, s)
+    assert result.stats.stripes >= 2
+    assert result.pairs.tobytes() == epsilon_kdb_join(r, s, spec).pairs.tobytes()
+
+
+@pytest.mark.parametrize("n", [100, 3000], ids=["below-threshold", "above"])
+def test_stripes_per_worker_validated_at_construction(n):
+    spec = JoinSpec(**SPEC)
+    with pytest.raises(InvalidParameterError, match="stripes_per_worker"):
+        ParallelJoinExecutor(spec, n_workers=2, stripes_per_worker=0)
+    # A valid executor runs at either size (the serial cut-off is 2048).
+    executor = ParallelJoinExecutor(
+        spec, n_workers=2, stripes_per_worker=1, use_processes=False
+    )
+    points = make_points(n=n, d=3)
+    expected = epsilon_kdb_self_join(points, spec).pairs
+    assert executor.self_join(points).pairs.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-5, 1e-7, 1e-9])
+def test_stripe_planning_time_independent_of_epsilon(epsilon):
+    """Planning follows the occupied cells, not span / epsilon: tiny
+    thresholds finish quickly on both the parallel and the external
+    engine, and stay exact."""
+    rng = np.random.default_rng(29)
+    spec = JoinSpec(epsilon=epsilon)
+    executor = ParallelJoinExecutor(spec, n_workers=2, use_processes=False)
+    big_r, big_s = rng.random((5000, 4)), rng.random((5000, 4))
+    small_r, small_s = rng.random((300, 4)), rng.random((300, 4))
+    calls = [
+        (lambda: executor.self_join(big_r), oracle_self_pairs(big_r, spec)),
+        (
+            lambda: executor.join(big_r, big_s),
+            oracle_two_set_pairs(big_r, big_s, spec),
+        ),
+        (
+            lambda: external_self_join(small_r, spec, memory_points=100),
+            oracle_self_pairs(small_r, spec),
+        ),
+        (
+            lambda: external_join(small_r, small_s, spec, memory_points=100),
+            oracle_two_set_pairs(small_r, small_s, spec),
+        ),
+    ]
+    for call, expected in calls:
+        started = time.perf_counter()
+        result = call()
+        elapsed = time.perf_counter() - started
+        assert elapsed < 5.0, f"took {elapsed:.2f}s at epsilon={epsilon}"
+        assert_same_pairs(result.pairs, expected, f"epsilon={epsilon}")
 
 
 def test_degenerate_inputs():
@@ -193,13 +253,6 @@ def test_observability_counters():
 def test_spec_knob_validation():
     with pytest.raises(InvalidParameterError):
         JoinSpec(epsilon=0.3, n_workers=0)
-    with pytest.raises(InvalidParameterError):
-        JoinSpec(epsilon=0.3, stripe_overlap=-1.0)
-    # An overlap narrower than the per-coordinate bound is rejected at
-    # plan time, not construction time (the bound depends on the metric).
-    spec = JoinSpec(epsilon=0.3, stripe_overlap=0.1)
-    with pytest.raises(InvalidParameterError):
-        spec.resolved_stripe_overlap()
 
 
 def test_spec_resilience_knob_validation():

@@ -34,7 +34,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from _oracles import assert_same_pairs, oracle_self_pairs
+from _oracles import assert_same_pairs, oracle_self_pairs, oracle_two_set_pairs
 from repro import JoinSpec, similarity_join
 from repro.core.incremental import IncrementalJoin
 from repro.core.resilience import FaultPlan
@@ -334,6 +334,62 @@ class TestSessionPersistence:
             assert reopened.spec.fingerprint() == spec.fingerprint()
             assert_same_pairs(reopened.current_pairs(), expected, "legacy reopen")
             reopened.close()
+
+    def test_reopen_snapshot_with_coarser_tree_epsilon(self, tmp_path):
+        """Older versions could persist a base tree built at a coarser
+        epsilon than the session's.  Its stored grid keeps the wider
+        cells, which only over-approximate the adjacency rule, so a
+        recovered session and a snapshot view both answer exactly."""
+        from repro.core.flat_build import FlatEpsilonKdbTree
+        from repro.storage.view import SnapshotView
+
+        path = _session_dir(tmp_path)
+        rng = np.random.default_rng(6)
+        spec = JoinSpec(epsilon=0.2, persist_path=path)
+        points = rng.random((300, 3))
+        session = IncrementalJoin(spec)
+        session.insert(points)
+        session.compact()
+        session.close()
+        seq, snap_path = list_snapshots(path)[-1]
+        meta, arrays = load_snapshot(snap_path)
+        coarse = FlatEpsilonKdbTree.build(points, JoinSpec(epsilon=0.35))
+        meta["tree"] = {
+            "epsilon": 0.35,
+            "grid": {
+                "lo": [float(v) for v in coarse.grid.lo],
+                "hi": [float(v) for v in coarse.grid.hi],
+                "eps": float(coarse.grid.eps),
+                "n_cells": [int(v) for v in coarse.grid.n_cells],
+            },
+        }
+        arrays.update(
+            points_flat=coarse.points_flat,
+            perm=coarse.perm,
+            digits=coarse.digits,
+            packed_nodes=coarse.packed_nodes(),
+        )
+        write_snapshot(path, seq, meta, arrays)
+
+        queries = rng.random((40, 3))
+        narrow = JoinSpec(epsilon=0.2)
+        hits = oracle_two_set_pairs(queries, points, narrow)
+        expected_hits = [hits[hits[:, 0] == q, 1] for q in range(len(queries))]
+        view = SnapshotView.open(path)
+        for got, want in zip(view.batch_range_query(queries), expected_hits):
+            assert got.tobytes() == want.tobytes()
+        reopened = IncrementalJoin.open(path)
+        for got, want in zip(reopened.batch_range_query(queries), expected_hits):
+            assert got.tobytes() == want.tobytes()
+        assert reopened.current_pairs().tobytes() == (
+            oracle_self_pairs(points, narrow).tobytes()
+        )
+        more = rng.random((60, 3))
+        reopened.insert(more)
+        assert reopened.current_pairs().tobytes() == (
+            oracle_self_pairs(np.vstack([points, more]), narrow).tobytes()
+        )
+        reopened.close()
 
     def test_empty_delete_journals_nothing(self, tmp_path):
         path = _session_dir(tmp_path)

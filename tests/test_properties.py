@@ -17,7 +17,8 @@ from repro import JoinSpec, epsilon_kdb_join, epsilon_kdb_self_join
 from repro.baselines import grid_self_join, rtree_self_join, sort_merge_self_join
 from repro.core.epsilon_kdb import EpsilonKdbTree, Grid
 from repro.core.external import plan_stripes
-from repro.core.parallel import ParallelJoinExecutor, plan_parallel_stripes
+from repro.core.flat_build import FlatEpsilonKdbTree
+from repro.core.parallel import ParallelJoinExecutor, _root_cells
 from repro.core.result import canonicalize_self_pairs
 from repro.core.sweep import band_pairs_cross, band_pairs_self
 
@@ -190,6 +191,20 @@ def test_tree_partitions_points(points, eps, leaf_size):
     assert collected.tolist() == list(range(len(points)))
 
 
+def _dense_plan(histogram, capacity):
+    """Reference: the greedy plan walked over every cell of the span."""
+    stripes, start, running = [], 0, 0
+    for cell in range(len(histogram)):
+        count = int(histogram[cell])
+        reserve = int(histogram[cell + 1]) if cell + 1 < len(histogram) else 0
+        if running and running + count + reserve > capacity:
+            stripes.append(range(start, cell))
+            start, running = cell, 0
+        running += count
+    stripes.append(range(start, len(histogram)))
+    return stripes
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     histogram=hnp.arrays(
@@ -198,17 +213,26 @@ def test_tree_partitions_points(points, eps, leaf_size):
     capacity=st.integers(1, 120),
 )
 def test_stripe_plan_covers_cells_in_order(histogram, capacity):
-    stripes = plan_stripes(histogram, capacity)
+    cells = np.flatnonzero(histogram)
+    counts = histogram[cells]
+    stripes = plan_stripes(cells, counts, capacity)
     covered = []
     for s in stripes:
         covered.extend(range(s.start, s.stop))
-    assert covered == list(range(len(histogram)))
+    assert covered == list(range(len(cells)))
     for s in stripes:
-        # A stripe exceeds the budget only when a single (non-empty) cell
-        # does so on its own; empty cells may tag along for free.
-        over_budget = int(histogram[s].sum()) > capacity
-        if over_budget:
-            assert int((histogram[s] > 0).sum()) == 1
+        # A stripe exceeds the budget only when a single cell does so
+        # on its own.
+        if int(counts[s].sum()) > capacity:
+            assert s.stop - s.start == 1
+    # Planning over occupied cells only groups the points exactly as
+    # planning over every cell of the span would.
+    dense = [
+        [cell for cell in span if histogram[cell]]
+        for span in _dense_plan(histogram, capacity)
+    ]
+    sparse = [cells[s].tolist() for s in stripes]
+    assert [group for group in sparse if group] == [g for g in dense if g]
 
 
 @settings(max_examples=50, deadline=None)
@@ -237,38 +261,55 @@ parallel_workers = st.sampled_from([1, 2, 3, 7])
 
 
 @settings(max_examples=60, deadline=None)
-@given(points=point_arrays(max_n=120), eps=epsilons, n_workers=parallel_workers)
-def test_parallel_plan_covers_domain(points, eps, n_workers):
-    """Stripe spans partition the cell range: every cell in exactly one
-    stripe, in order, with no gaps."""
-    if len(points) == 0:
-        return
-    spec = JoinSpec(epsilon=eps)
-    plan = plan_parallel_stripes(points[:, 0], spec, n_workers)
-    covered = []
-    for start, stop in plan.spans:
-        covered.extend(range(start, stop))
-    assert covered == list(range(plan.n_cells))
-    owners = plan.owner_of(points[:, 0])
-    assert (owners >= 0).all() and (owners < plan.n_stripes).all()
-    # Ownership is monotone in the coordinate.
-    order = np.argsort(points[:, 0], kind="stable")
-    assert (np.diff(owners[order]) >= 0).all()
+@given(
+    points=point_arrays(max_n=120),
+    eps=epsilons,
+    n_workers=parallel_workers,
+    two_set=st.booleans(),
+)
+def test_parallel_tasks_cover_root_children_once_in_order(
+    points, eps, n_workers, two_set
+):
+    """Self tasks are contiguous, non-empty ranges of the root's
+    children from the first to the last; two-set tasks are contiguous
+    cell ranges that together hold every occupied root cell once."""
+    spec = JoinSpec(epsilon=eps, leaf_size=4)
+    executor = ParallelJoinExecutor(
+        spec, n_workers=n_workers, serial_threshold=0, use_processes=False
+    )
+    planned = []
+    run = executor._run
 
+    def recording_run(task, tasks, arrays, started):
+        planned.append(list(tasks))
+        return run(task, tasks, arrays, started)
 
-@settings(max_examples=60, deadline=None)
-@given(points=point_arrays(max_n=120), eps=epsilons, n_workers=parallel_workers)
-def test_parallel_tasks_overlap_by_at_least_eps(points, eps, n_workers):
-    """Cells are band_width wide and every stripe spans at least one
-    cell, so a qualifying pair never spans non-adjacent stripes."""
-    if len(points) == 0:
+    executor._run = recording_run
+    if two_set:
+        r, s = points[::2], points[1::2]
+        result = executor.join(r, s)
+    else:
+        result = executor.self_join(points)
+    if not planned:  # serial path: nothing to partition
+        assert result.stats.stripes == 1
         return
-    spec = JoinSpec(epsilon=eps)
-    plan = plan_parallel_stripes(points[:, 0], spec, n_workers)
-    assert plan.overlap >= spec.band_width
-    assert plan.cell_width == spec.band_width
-    for start, stop in plan.spans:
-        assert (stop - start) * plan.cell_width >= spec.band_width
+    tasks = planned[0]
+    assert len(tasks) >= 2 and result.stats.stripes == len(tasks)
+    assert all(lo < hi for lo, hi in tasks)
+    assert all(a[1] == b[0] for a, b in zip(tasks, tasks[1:]))
+    if two_set:
+        grid = Grid.fit_union(r, s, spec.band_width)
+        cells = np.union1d(
+            *(_root_cells(FlatEpsilonKdbTree.build(p, spec, grid=grid))[0]
+              for p in (r, s))
+        )
+        assert tasks[0][0] == cells[0] and tasks[-1][1] == cells[-1] + 1
+        owners = np.searchsorted([lo for lo, _ in tasks], cells, side="right")
+        assert np.unique(owners).tolist() == list(range(1, len(tasks) + 1))
+    else:
+        tree = FlatEpsilonKdbTree.build(points, spec)
+        assert tasks[0][0] == 0
+        assert tasks[-1][1] == int(tree.node_n_children[0])
 
 
 @settings(max_examples=25, deadline=None)
