@@ -7,15 +7,17 @@ cell-coding + stable whole-array sorts + CSR leaf layout,
 still by replacing per-point and per-node Python work with a handful
 of whole-array passes.  Measured here:
 
-* construction time of *three* builds over the same clustered workload,
-  all ready-to-traverse (the pointer variants include ``finalize()``,
-  whose leaf sort the flat build folds into its stable sort cascade):
+* construction time of *three* builds of the same leaf partition over
+  the same clustered workload.  The flat build also sorts every leaf by
+  the sweep dimension; the pointer builds stop at the partition (their
+  per-leaf sort, ``finalize()``, was deleted with the pointer traversal,
+  so records before that change include it):
 
   - ``pointer`` — the per-point ``insert`` loop over an
     ``EpsilonKdbTree.empty`` tree, i.e. the pointer-based build path
     the flat build replaces (one Python descent per point);
   - ``pointer_bulk`` — ``EpsilonKdbTree.build``, the recursive bulk
-    build behind the reference traversal (one NumPy partition per node);
+    build (one NumPy partition per node);
   - ``flat`` — the vectorized flat build.
 
   The headline ``speedup`` compares flat against the per-point loop;
@@ -62,14 +64,11 @@ def _build_pointer(points, spec):
     tree = EpsilonKdbTree.empty(points, spec)
     for index in range(len(points)):
         tree.insert(index)
-    tree.finalize()
     return tree
 
 
 def _build_pointer_bulk(points, spec):
-    tree = EpsilonKdbTree.build(points, spec)
-    tree.finalize()
-    return tree
+    return EpsilonKdbTree.build(points, spec)
 
 
 def _build_flat(points, spec):

@@ -7,7 +7,7 @@ Run with::
 
 
 from repro import (
-    EpsilonKdbTree,
+    FlatEpsilonKdbTree,
     JoinSpec,
     PairCounter,
     epsilon_kdb_self_join,
@@ -40,7 +40,7 @@ def main() -> None:
     # 4. The full machinery: build the tree once, inspect it, count
     #    without materializing, and read the work counters.
     spec = JoinSpec(epsilon=0.1, leaf_size=256)
-    tree = EpsilonKdbTree.build(points, spec)
+    tree = FlatEpsilonKdbTree.build(points, spec)
     info = tree.describe()
     print(
         f"eps-kdB tree: {info.leaves} leaves, depth {info.max_depth}, "

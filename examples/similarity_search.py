@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from repro import EpsilonKdbTree, JoinSpec
+from repro import FlatEpsilonKdbTree, JoinSpec
 from repro.baselines import RPlusTree
 from repro.datasets.images import color_histograms
 
@@ -31,7 +31,7 @@ def main() -> None:
     spec = JoinSpec(epsilon=EPSILON, metric=METRIC)
 
     started = time.perf_counter()
-    tree = EpsilonKdbTree.build(histograms, spec)
+    tree = FlatEpsilonKdbTree.build(histograms, spec)
     kdb_build = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -49,9 +49,9 @@ def main() -> None:
         scan_hits.append(np.flatnonzero(diffs <= EPSILON))
     scan_time = time.perf_counter() - started
 
-    # eps-kdB tree.
+    # eps-kdB tree: the whole query batch in one traversal.
     started = time.perf_counter()
-    kdb_hits = [tree.range_query(query) for query in queries]
+    kdb_hits = tree.batch_range_query(queries)
     kdb_time = time.perf_counter() - started
 
     # R+-tree.

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import JoinSpec, validate_point_sets
-from repro.core.epsilon_kdb import EpsilonKdbTree
+from repro.core.flat_build import FlatEpsilonKdbTree
 from repro.core.result import JoinResult, JoinStats, PairCollector, PairSink
 from repro.errors import InvalidParameterError
 
@@ -56,8 +56,10 @@ def index_nested_loop_join(
     started = time.perf_counter()
     if index == "epsilon-kdb":
         # The probe points may lie outside S's bounding box; tree range
-        # queries handle that (clamped cells stay exact).
-        tree = EpsilonKdbTree.build(points_s, spec)
+        # queries handle that (clamped cells stay exact).  One probe per
+        # R point, as the strategy prescribes: a single batch of all of
+        # R would be the two-set frontier join instead.
+        tree = FlatEpsilonKdbTree.build(points_s, spec)
 
         def query(point):
             return tree.range_query(point)

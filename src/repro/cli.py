@@ -43,7 +43,7 @@ import numpy as np
 
 from repro import (
     ALGORITHMS,
-    EpsilonKdbTree,
+    FlatEpsilonKdbTree,
     IncrementalJoin,
     JoinSpec,
     PairCounter,
@@ -1140,7 +1140,7 @@ def _run_search(args: argparse.Namespace) -> int:
         filter_dims=args.filter_dims,
     )
     started = time.perf_counter()
-    tree = EpsilonKdbTree.build(points, spec)
+    tree = FlatEpsilonKdbTree.build(points, spec)
     build_seconds = time.perf_counter() - started
     print(
         f"built epsilon-kdB tree over {len(points)} points "
@@ -1154,13 +1154,13 @@ def _run_search(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         queries = points[rng.choice(len(points), size=min(args.queries, len(points)), replace=False)]
     started = time.perf_counter()
-    for query in queries:
-        hits = tree.range_query(query)
+    answers = tree.batch_range_query(queries)
+    elapsed = time.perf_counter() - started
+    for query, hits in zip(queries, answers):
         preview = ", ".join(str(h) for h in hits[:8])
         suffix = ", ..." if len(hits) > 8 else ""
         print(f"query {np.round(query[:4], 3).tolist()}...: "
               f"{len(hits)} hits [{preview}{suffix}]")
-    elapsed = time.perf_counter() - started
     print(
         f"{len(queries)} queries in {format_seconds(elapsed)} "
         f"({format_seconds(elapsed / max(1, len(queries)))} each)"

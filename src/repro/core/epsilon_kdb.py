@@ -1,4 +1,4 @@
-"""The epsilon-kdB tree.
+"""The cell grid and the pointer epsilon-kdB tree.
 
 The paper's central data structure: a main-memory tree built on the fly
 for one specific join threshold ``epsilon``.  Level ``l`` partitions one
@@ -9,9 +9,13 @@ every cell is at least ``epsilon`` wide, two points within distance
 cells of every split dimension — the property the join traversal in
 :mod:`repro.core.join` exploits.
 
-The tree never copies point coordinates: it stores ``int64`` index arrays
-into one shared ``(n, d)`` array, so construction is cheap enough to do
-per join, exactly as the paper intends.
+:class:`Grid` is the cell geometry every tree shares.
+:class:`EpsilonKdbTree` is the tree as the paper describes it, one Python
+object per node over ``int64`` index arrays into one shared ``(n, d)``
+array, built in bulk or one point at a time.  Joins and queries run on
+:class:`~repro.core.flat_build.FlatEpsilonKdbTree`, which builds the same
+leaf partition as flat arrays; the pointer tree remains as the reference
+for that partition and for the build-mode study (E4, E17).
 """
 
 from __future__ import annotations
@@ -24,15 +28,23 @@ import numpy as np
 from repro.core.config import JoinSpec, validate_points
 from repro.errors import DomainError, InvalidParameterError
 
+# Cap on a dimension's cell count.  Below it, float64 rounding moves
+# ``(x - lo) / eps`` by less than a quarter cell, so two values within
+# ``eps`` still land in the same or adjacent cells; far above it a value
+# can round many cells away.  Capping is exact, because the last cell
+# absorbs the remainder and so stays at least ``eps`` wide.
+_MAX_CELLS = 2**50
+
 
 @dataclass(frozen=True)
 class Grid:
     """The cell geometry shared by every node of one (or two) trees.
 
     Dimension ``k`` of the domain ``[lo[k], hi[k]]`` is cut into
-    ``n_cells[k] = max(1, floor(span_k / eps))`` cells of width ``eps``;
-    the final cell absorbs the remainder, so every cell is at least
-    ``eps`` wide (which is what the adjacent-cell pruning rule needs).
+    ``n_cells[k] = clip(floor(span_k / eps), 1, 2**50)`` cells of width
+    ``eps``; the final cell absorbs the remainder, so every cell is at
+    least ``eps`` wide (which is what the adjacent-cell pruning rule
+    needs).
 
     Two trees that are to be joined against each other must share one
     ``Grid`` so that equal cell indices mean equal regions of space.
@@ -83,7 +95,7 @@ class Grid:
             hi = points.max(axis=0) if hi is None else hi
         lo, hi = cls._validated_bounds(lo, hi)
         span = hi - lo
-        n_cells = np.maximum(1, np.floor(span / float(eps)).astype(np.int64))
+        n_cells = np.clip(np.floor(span / float(eps)), 1, _MAX_CELLS).astype(np.int64)
         return cls(lo=lo, hi=hi, eps=float(eps), n_cells=n_cells)
 
     @classmethod
@@ -124,18 +136,13 @@ class LeafNode:
     """A leaf: an index array into the tree's point set.
 
     ``level`` is the split-order position the leaf would split on next.
-    After :meth:`EpsilonKdbTree.finalize` the indices are sorted by the
-    tree's leaf sort-merge dimension and ``sort_values`` caches the
-    corresponding coordinates; incremental inserts mark the leaf dirty.
     """
 
-    __slots__ = ("indices", "level", "sort_values", "_dirty")
+    __slots__ = ("indices", "level")
 
     def __init__(self, indices: np.ndarray, level: int):
         self.indices = np.asarray(indices, dtype=np.int64)
         self.level = level
-        self.sort_values: Optional[np.ndarray] = None
-        self._dirty = True
 
     @property
     def size(self) -> int:
@@ -179,13 +186,13 @@ class TreeDescription:
 
 
 class EpsilonKdbTree:
-    """The epsilon-kdB tree over one point set.
+    """The pointer epsilon-kdB tree over one point set.
 
-    Build either in bulk (:meth:`build`, the fast path used by the join
-    functions) or incrementally (:meth:`empty` + :meth:`insert`, the
-    on-the-fly mode the paper describes for streaming a file).  Both
-    produce structurally identical trees for the same input order modulo
-    leaf point order, and identical join results.
+    Build either in bulk (:meth:`build`) or incrementally (:meth:`empty`
+    + :meth:`insert`, the on-the-fly mode the paper describes for
+    streaming a file).  Leaves hold unsorted index arrays; nothing joins
+    or queries this tree (see
+    :class:`~repro.core.flat_build.FlatEpsilonKdbTree`).
     """
 
     def __init__(self, points: np.ndarray, spec: JoinSpec, grid: Grid):
@@ -193,7 +200,6 @@ class EpsilonKdbTree:
         self.spec = spec
         self.grid = grid
         self.split_order = spec.resolved_split_order(points.shape[1])
-        self.sort_dim = spec.resolved_sort_dim(points.shape[1])
         # Split-order positions whose dimension actually has > 1 cell;
         # splitting a single-cell dimension would recurse without
         # partitioning anything.
@@ -203,7 +209,6 @@ class EpsilonKdbTree:
             if grid.n_cells[dim] > 1
         ]
         self.root: Node = LeafNode(np.empty(0, dtype=np.int64), level=0)
-        self._finalized = False
 
     # ------------------------------------------------------------------
     # construction
@@ -223,7 +228,6 @@ class EpsilonKdbTree:
             grid.validate(points)
         tree = cls(points, spec, grid)
         tree.root = tree._bulk(np.arange(len(points), dtype=np.int64), level=0)
-        tree.finalize()
         return tree
 
     @classmethod
@@ -278,8 +282,6 @@ class EpsilonKdbTree:
         Descends to the target leaf, appends, and splits the leaf when it
         exceeds ``leaf_size`` and a splittable dimension remains.
         """
-        if self._finalized:
-            self._finalized = False
         point = self.points[index]
         node = self.root
         parent: Optional[InternalNode] = None
@@ -294,7 +296,6 @@ class EpsilonKdbTree:
             node = child
         leaf = node
         leaf.indices = np.append(leaf.indices, np.int64(index))
-        leaf._dirty = True
         if leaf.size > self.spec.leaf_size:
             replacement = self._split_leaf(leaf)
             if replacement is not leaf:
@@ -316,87 +317,6 @@ class EpsilonKdbTree:
             )
         return node
 
-    def finalize(self) -> "EpsilonKdbTree":
-        """Sort every leaf by the sort-merge dimension and cache values.
-
-        Idempotent; the join functions call it before traversal so
-        incrementally built trees need no special handling.
-        """
-        if self._finalized:
-            return self
-        for leaf in self.iter_leaves():
-            if leaf._dirty:
-                values = self.points[leaf.indices, self.sort_dim]
-                order = np.argsort(values, kind="stable")
-                leaf.indices = leaf.indices[order]
-                leaf.sort_values = values[order]
-                leaf._dirty = False
-        self._finalized = True
-        return self
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def range_query(
-        self, point: np.ndarray, eps: Optional[float] = None
-    ) -> np.ndarray:
-        """Indices of points within ``eps`` of ``point`` (sorted).
-
-        The tree is built for a specific grid width, so only queries with
-        ``eps`` at most the build epsilon are answerable (the default is
-        exactly the build epsilon); larger radii would need pairs from
-        non-adjacent cells and raise :class:`InvalidParameterError`.
-        Distance uses the spec's metric, inclusive of the boundary.
-        """
-        if eps is None:
-            eps = self.spec.epsilon
-        if eps > self.spec.epsilon:
-            raise InvalidParameterError(
-                f"query radius {eps} exceeds the build epsilon "
-                f"{self.spec.epsilon}; rebuild the tree for larger radii"
-            )
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.points.shape[1],):
-            raise InvalidParameterError(
-                f"query point must have shape ({self.points.shape[1]},), "
-                f"got {point.shape}"
-            )
-        self.finalize()
-        metric = self.spec.metric
-        band = metric.coordinate_bound(eps)
-        hits: List[int] = []
-        stack: List[Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, LeafNode):
-                if not node.size:
-                    continue
-                # Band filter on the sort dimension, then a full check.
-                left = int(
-                    np.searchsorted(
-                        node.sort_values, point[self.sort_dim] - band, "left"
-                    )
-                )
-                right = int(
-                    np.searchsorted(
-                        node.sort_values, point[self.sort_dim] + band, "right"
-                    )
-                )
-                candidates = node.indices[left:right]
-                if len(candidates):
-                    diffs = np.abs(self.points[candidates] - point)
-                    keep = metric.within_gap(diffs, eps)
-                    hits.extend(candidates[keep].tolist())
-            else:
-                cell = self.grid.cell_of_scalar(
-                    point[node.split_dim], node.split_dim
-                )
-                for neighbor in (cell - 1, cell, cell + 1):
-                    child = node.children.get(neighbor)
-                    if child is not None:
-                        stack.append(child)
-        return np.array(sorted(hits), dtype=np.int64)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
@@ -409,22 +329,6 @@ class EpsilonKdbTree:
                 yield node
             else:
                 stack.extend(node.children.values())
-
-    def split_dims(self) -> tuple:
-        """Dimensions actually split by at least one internal node, sorted.
-
-        The filter-cascade planner demotes these in its selectivity
-        ordering: adjacency already constrains a split dimension to at
-        most two cell widths, so a pre-filter on it removes little.
-        """
-        dims = set()
-        stack: List[Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, InternalNode):
-                dims.add(int(node.split_dim))
-                stack.extend(node.children.values())
-        return tuple(sorted(dims))
 
     def describe(self) -> TreeDescription:
         """Return a structural summary of the tree."""

@@ -12,9 +12,8 @@ of whole-array operations, doing work proportional to the tree's
    stable sort is several times faster on 16-bit keys than on 64-bit
    ones).  Every later sort is stable and permutes rows only within
    their node, so this value order survives to the bottom: leaves come
-   out sorted by the sweep dimension with ties in input order — exactly
-   the order ``EpsilonKdbTree.finalize`` produces — with no final
-   within-leaf sort.
+   out sorted by the sweep dimension with ties in input order, with no
+   final within-leaf sort.
 2. **leaf-partition** — one pass per tree level, touching only rows
    whose node is still above ``leaf_size``: compute that level's cell
    digit ``floor(x[:, dim] / eps)``, stable-sort the active rows by a
@@ -30,9 +29,9 @@ of whole-array operations, doing work proportional to the tree's
    arithmetic.  Leaves are zero-copy contiguous slices.
 
 The resulting :class:`FlatEpsilonKdbTree` partitions points into exactly
-the same leaves as :meth:`EpsilonKdbTree.build` for the same spec and
-grid (property-tested in ``tests/test_flat_build.py``), and the join
-traversal over it emits the identical pair set.
+the same leaves as the pointer build :meth:`EpsilonKdbTree.build` for the
+same spec and grid (property-tested in ``tests/test_flat_build.py``).  It
+is the only tree joins and range queries run on.
 
 A tree built at a coarse epsilon still answers any finer join (its cells
 are at least as wide as required; see ``epsilon_kdb_self_join``'s
@@ -58,7 +57,7 @@ __all__ = ["FlatEpsilonKdbTree"]
 
 # Guard for packing (node id, digit) into one int64 radix key; above this
 # the build falls back to a two-key lexsort instead of overflowing.
-_PACKED_KEY_LIMIT = np.int64(2) ** 62
+_PACKED_KEY_LIMIT = 2**62
 
 
 def _value_order(values: np.ndarray) -> np.ndarray:
@@ -168,7 +167,7 @@ class FlatEpsilonKdbTree:
         # for shipped or loaded trees, which derive it on first use).
         self._value_rank = value_rank
         self._sweep_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._child_index: Optional[Tuple[np.ndarray, int]] = None
+        self._child_index: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -196,7 +195,7 @@ class FlatEpsilonKdbTree:
             # One stable sort by the leaf sweep dimension.  All later
             # sorts are stable and permute rows only within their node,
             # so this order survives to the leaves: ascending value,
-            # ties in input order — the pointer build's finalized order.
+            # ties in input order.
             started = time.perf_counter()
             order = _value_order(
                 np.ascontiguousarray(
@@ -243,16 +242,17 @@ class FlatEpsilonKdbTree:
                 starts_here = boundary[active]
                 node = np.cumsum(starts_here) - 1
                 n_cells = np.int64(grid.n_cells[dim])
-                n_keys = (node[-1] + 1) * n_cells
+                # Python ints: the product may exceed int64 at tiny eps.
+                n_keys = (int(node[-1]) + 1) * int(n_cells)
                 started = time.perf_counter()
-                if n_keys <= np.int64(1) << 16:
+                if n_keys <= 1 << 16:
                     # (node, digit) fits a 16-bit key: NumPy's stable
                     # argsort is ~10x faster on uint16 than on int64.
                     key = (node * n_cells + digit).astype(np.uint16)
                     refine = np.argsort(key, kind="stable")
                 elif n_keys < _PACKED_KEY_LIMIT:
                     refine = np.argsort(node * n_cells + digit, kind="stable")
-                else:  # pragma: no cover - needs astronomically fine grids
+                else:
                     refine = np.lexsort((digit, node))
                 sort_seconds += time.perf_counter() - started
                 suborder = suborder[refine]
@@ -439,22 +439,28 @@ class FlatEpsilonKdbTree:
             self._value_rank = None
         return self._sweep_index
 
-    def child_index(self) -> Tuple[np.ndarray, int]:
-        """``(child_key, stride)`` with ``child_key[c] = parent(c) * stride + digit(c)``.
+    def child_index(self) -> Tuple[np.ndarray, np.ndarray, int]:
+        """``(child_key, digit_values, stride)`` for adjacent-child windows.
 
-        Children are contiguous and digit-ordered and parents are laid
-        out depth-major, so ``child_key`` is strictly increasing: the
+        ``digit_values`` is the sorted distinct node digits and
+        ``child_key[c] = parent(c) * stride + rank(digit(c))``, where
+        ``rank`` is a digit's position in ``digit_values``.  Children are
+        contiguous and digit-ordered and parents are laid out
+        depth-major, so ``child_key`` is strictly increasing: the
         children of node ``t`` with digits in ``[lo, hi]`` are one
-        ``searchsorted`` window at ``t * stride + lo`` / ``+ hi``.  The
-        stride exceeds every cell count, so windows never cross parents.
+        ``searchsorted`` window at ``t * stride`` plus the ranks of
+        ``lo`` and ``hi``.  Ranks stay below ``stride <= n_nodes + 1``
+        whatever the cell count, so keys cannot overflow and windows
+        never cross parents.
         """
         if self._child_index is None:
-            stride = int(np.max(self.grid.n_cells)) + 2
+            digit_values, rank = np.unique(self.node_digit, return_inverse=True)
+            stride = len(digit_values) + 1
             parent = np.full(self.n_nodes, -1, dtype=np.int64)
             inner = np.flatnonzero(self.node_n_children)
             # Child id ranges of successive parents tile ids 1..n_nodes-1.
             parent[1:] = np.repeat(inner, self.node_n_children[inner])
-            self._child_index = (parent * stride + self.node_digit, stride)
+            self._child_index = (parent * stride + rank, digit_values, stride)
         return self._child_index
 
     # ------------------------------------------------------------------
@@ -465,9 +471,12 @@ class FlatEpsilonKdbTree:
     ) -> np.ndarray:
         """Indices of points within ``eps`` of ``point`` (sorted).
 
-        Same contract as :meth:`EpsilonKdbTree.range_query`; implemented
-        as a batch of one so single and coalesced queries share one code
-        path.
+        The tree is built for a specific grid width, so only radii up to
+        the build epsilon are answerable (the default is exactly the
+        build epsilon); larger radii would need pairs from non-adjacent
+        cells and raise :class:`InvalidParameterError`.  Distance uses the
+        spec's metric, inclusive of the boundary.  Implemented as a batch
+        of one so single and coalesced queries share one code path.
         """
         point = np.asarray(point, dtype=np.float64)
         dims = self.points_flat.shape[1] if self.points_flat.ndim == 2 else 0
@@ -489,12 +498,10 @@ class FlatEpsilonKdbTree:
         rank-keyed band window, and the candidates are filtered in tiles
         by the same cascade the joins use.  The result is one ascending
         int64 index array per query, **byte-identical** to ``Q``
-        sequential :meth:`EpsilonKdbTree.range_query` calls over the
-        equivalent pointer tree.
+        sequential :meth:`range_query` calls.
 
-        As with the pointer tree, ``eps`` defaults to the build epsilon
-        and may not exceed it (larger radii would need pairs from
-        non-adjacent cells).
+        As there, ``eps`` defaults to the build epsilon and may not
+        exceed it.
         """
         if eps is None:
             eps = self.spec.epsilon

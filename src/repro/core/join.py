@@ -7,12 +7,9 @@ joins children ``i-1``, ``i`` and ``i+1`` of the other node.  Leaf-level
 joins are vectorized sort-merge sweeps along one unsplit dimension with a
 full-distance filter.
 
-Every join entry point builds a flat tree and runs one level-synchronous
-frontier (:class:`_Frontier`) over it: both joins, the parallel stripe
-ranges, the incremental base probe and batched range queries.  The
-recursive traversal over pointer trees (:class:`EpsilonKdbTree`) stays
-as the oracle the frontier's counters are tested against; passing a
-pointer tree as ``tree=`` to :func:`epsilon_kdb_self_join` runs it.
+Every join entry point builds a :class:`FlatEpsilonKdbTree` and runs one
+level-synchronous frontier (:class:`_Frontier`) over it: both joins, the
+parallel stripe ranges, the incremental base probe and range queries.
 
 Self-joins emit each unordered pair once with ``left < right``; two-set
 joins emit ``(r_index, s_index)`` with sides preserved.
@@ -21,12 +18,12 @@ joins emit ``(r_index, s_index)`` with sides preserved.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import JoinSpec, validate_point_sets, validate_points
-from repro.core.epsilon_kdb import EpsilonKdbTree, Grid, InternalNode, LeafNode
+from repro.core.epsilon_kdb import Grid
 from repro.core.flat_build import FlatEpsilonKdbTree
 from repro.core.kernels import (
     KernelContext,
@@ -34,16 +31,10 @@ from repro.core.kernels import (
     LeafBatchQueue,
     build_kernel_context,
 )
-from repro.core.result import JoinResult, JoinStats, PairCollector, PairCounter, PairSink
-from repro.core.sweep import _expand_windows, band_pairs_cross, band_pairs_self
+from repro.core.result import JoinResult, JoinStats, PairCollector, PairSink
+from repro.core.sweep import _expand_windows
 from repro.errors import InvalidParameterError
 from repro.obs import trace
-
-# A "flat" node during traversal: (indices, sort-dim values), both sorted
-# by the sort dimension.  Real leaves are converted to this form and
-# leaf-vs-internal recursion produces filtered fragments of it.
-_Flat = Tuple[np.ndarray, np.ndarray]
-_TraversalNode = Union[InternalNode, _Flat]
 
 
 class _JoinContext:
@@ -52,7 +43,6 @@ class _JoinContext:
     __slots__ = (
         "points_a",
         "points_b",
-        "grid",
         "eps",
         "band",
         "metric",
@@ -70,7 +60,6 @@ class _JoinContext:
         self,
         points_a: np.ndarray,
         points_b: np.ndarray,
-        grid: Grid,
         spec: JoinSpec,
         sink: PairSink,
         self_mode: bool,
@@ -80,7 +69,6 @@ class _JoinContext:
     ):
         self.points_a = points_a
         self.points_b = points_b
-        self.grid = grid
         self.eps = spec.epsilon
         self.band = spec.band_width
         self.metric = spec.metric
@@ -98,28 +86,6 @@ class _JoinContext:
         # instead of once per leaf.  Callers must invoke finish().
         self.queue = LeafBatchQueue(self._filter_rows, self._emit)
         self.stats.kernel_tile_rows = self.queue.tile_rows
-
-    # ------------------------------------------------------------------
-    # leaf-level joins
-    # ------------------------------------------------------------------
-    def leaf_self(self, flat: _Flat) -> None:
-        indices, values = flat
-        self.stats.leaf_joins += 1
-        pos_a, pos_b = band_pairs_self(values, self.band)
-        self.stats.distance_computations += len(pos_a)
-        if not len(pos_a):
-            return
-        self.queue.add(indices[pos_a], indices[pos_b])
-
-    def leaf_cross(self, flat_a: _Flat, flat_b: _Flat) -> None:
-        indices_a, values_a = flat_a
-        indices_b, values_b = flat_b
-        self.stats.leaf_joins += 1
-        pos_a, pos_b = band_pairs_cross(values_a, values_b, self.band)
-        self.stats.distance_computations += len(pos_a)
-        if not len(pos_a):
-            return
-        self.queue.add(indices_a[pos_a], indices_b[pos_b])
 
     def _filter_rows(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Filter one work-queue tile; records the kernel stats."""
@@ -158,100 +124,6 @@ class _JoinContext:
         self.stats.pairs_emitted += int(len(left))
 
 
-def _flatten(node: _TraversalNode) -> _TraversalNode:
-    """Convert real leaves to the flat (indices, values) form."""
-    if isinstance(node, LeafNode):
-        if node.sort_values is None:
-            raise InvalidParameterError(
-                "tree must be finalized before joining; call tree.finalize()"
-            )
-        return (node.indices, node.sort_values)
-    return node
-
-
-def _self_join_node(ctx: _JoinContext, node: _TraversalNode) -> None:
-    node = _flatten(node)
-    ctx.stats.node_pairs_visited += 1
-    if isinstance(node, tuple):
-        ctx.leaf_self(node)
-        return
-    cells = sorted(node.children)
-    for cell in cells:
-        _self_join_node(ctx, node.children[cell])
-        if ctx.adjacency_pruning:
-            neighbor = node.children.get(cell + 1)
-            if neighbor is not None:
-                _cross_join(ctx, node.children[cell], neighbor)
-        else:
-            for other in cells:
-                if other > cell:
-                    _cross_join(ctx, node.children[cell], node.children[other])
-
-
-def _cross_join(
-    ctx: _JoinContext, a: _TraversalNode, b: _TraversalNode
-) -> None:
-    """Join every pair (x in a-side subtree, y in b-side subtree)."""
-    a = _flatten(a)
-    b = _flatten(b)
-    ctx.stats.node_pairs_visited += 1
-    a_leaf = isinstance(a, tuple)
-    b_leaf = isinstance(b, tuple)
-    if a_leaf and (not a[0].size):
-        return
-    if b_leaf and (not b[0].size):
-        return
-    if a_leaf and b_leaf:
-        ctx.leaf_cross(a, b)
-    elif not a_leaf and not b_leaf:
-        if a.split_dim != b.split_dim:
-            raise InvalidParameterError(
-                "cross-joined internal nodes disagree on split dimension; "
-                "the two trees were not built with a shared grid and order"
-            )
-        for cell_a, child_a in a.children.items():
-            if ctx.adjacency_pruning:
-                neighbors = (cell_a - 1, cell_a, cell_a + 1)
-            else:
-                neighbors = tuple(b.children)
-            for cell_b in neighbors:
-                child_b = b.children.get(cell_b)
-                if child_b is not None:
-                    _cross_join(ctx, child_a, child_b)
-    elif a_leaf:
-        _leaf_vs_internal(ctx, a, b, leaf_on_left=True)
-    else:
-        _leaf_vs_internal(ctx, b, a, leaf_on_left=False)
-
-
-def _leaf_vs_internal(
-    ctx: _JoinContext, flat: _Flat, internal: InternalNode, leaf_on_left: bool
-) -> None:
-    """Join a flat leaf fragment against an internal subtree.
-
-    The fragment's points are filtered by cell in the internal node's
-    split dimension: only points in cells ``j-1..j+1`` can pair with the
-    child at cell ``j``.  Filtering preserves the fragment's sort order,
-    so no re-sort is needed.
-    """
-    indices, values = flat
-    points = ctx.points_a if leaf_on_left else ctx.points_b
-    dim = internal.split_dim
-    cells = ctx.grid.cell_of(points[indices, dim], dim)
-    for cell_b, child in internal.children.items():
-        if ctx.adjacency_pruning:
-            mask = np.abs(cells - cell_b) <= 1
-            if not mask.any():
-                continue
-            fragment: _Flat = (indices[mask], values[mask])
-        else:
-            fragment = flat
-        if leaf_on_left:
-            _cross_join(ctx, fragment, child)
-        else:
-            _cross_join(ctx, child, fragment)
-
-
 # ----------------------------------------------------------------------
 # flat-tree frontier traversal
 # ----------------------------------------------------------------------
@@ -265,16 +137,15 @@ def _leaf_vs_internal(
 #   query row) descending the other side's subtree, kept only under the
 #   children whose cell is adjacent to the row's own cell.
 #
-# The counters equal the recursive pointer traversal's: one node-pair
-# visit per self node, per node pair and per (source, target node)
-# fragment group — a group being one leaf's rows under one node, as
-# the recursion's fragments are — and one leaf join per swept leaf
-# group.  Every (row, leaf) pair at the bottom becomes one band window
-# from two rank-keyed ``searchsorted`` calls (see
-# :meth:`FlatEpsilonKdbTree.sweep_index`) that make exactly the
-# comparisons ``band_pairs_cross`` / ``band_pairs_self`` make, so the
-# candidate set is the recursion's; windows are expanded in row groups
-# of at most one tile and fed through the context's LeafBatchQueue.
+# Counters: one node-pair visit per self node, per node pair and per
+# (source group, target node) fragment group — a group being one
+# leaf's rows (or one query row) under one node — and one leaf join per
+# swept (leaf, leaf) group.  Every (row, leaf) pair at the bottom
+# becomes one band window from two rank-keyed ``searchsorted`` calls
+# (see :meth:`FlatEpsilonKdbTree.sweep_index`) that make exactly the
+# comparisons ``band_pairs_cross`` / ``band_pairs_self`` make on the
+# leaf's value-sorted rows; windows are expanded in row groups of at
+# most one tile and fed through the context's LeafBatchQueue.
 # Row ids are positions in each tree's leaf-contiguous permuted array;
 # ``_JoinContext.perm_a/perm_b`` translate back to caller indices.
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
@@ -293,7 +164,7 @@ class _TreeSide:
         self.stop = tree.node_stop
         self.digit = tree.node_digit
         self.sorted_values, self.rank_key = tree.sweep_index()
-        self.child_key, self.child_stride = tree.child_index()
+        self.child_key, self.digit_values, self.child_stride = tree.child_index()
         self.stride = len(tree.perm) + 1
         # As a fragment source: sweep values, and one group per leaf.
         self.values = tree.sort_values
@@ -306,10 +177,12 @@ class _TreeSide:
         if digits is None:
             lo = self.first[nodes]
             return lo, lo + self.count[nodes]
-        base = nodes * self.child_stride + digits
+        base = nodes * self.child_stride
+        lo = np.searchsorted(self.digit_values, digits - 1, side="left")
+        hi = np.searchsorted(self.digit_values, digits + 1, side="right")
         return (
-            np.searchsorted(self.child_key, base - 1, side="left"),
-            np.searchsorted(self.child_key, base + 1, side="right"),
+            np.searchsorted(self.child_key, base + lo, side="left"),
+            np.searchsorted(self.child_key, base + hi, side="left"),
         )
 
     def leaf_windows(
@@ -617,7 +490,6 @@ def _flat_join(
     ctx = _JoinContext(
         tree_a.points_flat,
         tree_b.points_flat,
-        tree_a.grid,
         spec,
         sink,
         self_mode=self_mode,
@@ -665,7 +537,6 @@ def flat_probe(
     ctx = _JoinContext(
         queries,
         tree.points_flat,
-        tree.grid,
         spec,
         sink,
         self_mode=False,
@@ -714,7 +585,7 @@ def _flat_self_join_range(
     return _flat_join(tree, tree, spec, sink, kernel, level, 1)
 
 
-def _flat_cross_join_range(
+def _flat_two_set_range(
     tree_r: FlatEpsilonKdbTree,
     tree_s: FlatEpsilonKdbTree,
     spec: JoinSpec,
@@ -780,92 +651,65 @@ def epsilon_kdb_self_join(
     points: np.ndarray,
     spec: JoinSpec,
     sink: Optional[PairSink] = None,
-    tree: Optional[Union[EpsilonKdbTree, FlatEpsilonKdbTree]] = None,
+    tree: Optional[FlatEpsilonKdbTree] = None,
 ) -> JoinResult:
     """Self-join: all pairs ``i < j`` with ``dist(points[i], points[j]) <= eps``.
 
     Builds a flat epsilon-kdB tree (unless a pre-built ``tree`` over the
     same points and spec is supplied), traverses it with the
     adjacent-cell rule, and returns a :class:`JoinResult`.  A pre-built
-    ``tree`` must hold as many points as ``points``, of the same
-    dimensionality; a pointer :class:`EpsilonKdbTree` runs the recursive
-    reference traversal instead of the frontier.  Pass a
+    ``tree`` must be a :class:`FlatEpsilonKdbTree` holding as many
+    points as ``points``, of the same dimensionality.  Pass a
     :class:`~repro.core.result.PairCounter` as ``sink`` to count without
     materializing pairs.
     """
     points = validate_points(points)
-    if tree is not None and (
-        len(tree) != len(points) or tree.grid.dims != points.shape[1]
-    ):
-        raise InvalidParameterError(
-            f"the pre-built tree holds {len(tree)} points of dimension "
-            f"{tree.grid.dims}, but the join was given {len(points)} points "
-            f"of dimension {points.shape[1]}; build the tree over these points"
-        )
+    if tree is not None:
+        if not isinstance(tree, FlatEpsilonKdbTree):
+            raise InvalidParameterError(
+                f"the pre-built tree must be a FlatEpsilonKdbTree, got "
+                f"{type(tree).__name__}; build it with FlatEpsilonKdbTree.build"
+            )
+        if len(tree) != len(points) or tree.grid.dims != points.shape[1]:
+            raise InvalidParameterError(
+                f"the pre-built tree holds {len(tree)} points of dimension "
+                f"{tree.grid.dims}, but the join was given {len(points)} points "
+                f"of dimension {points.shape[1]}; build the tree over these points"
+            )
     collect = sink is None
     if collect:
         sink = PairCollector()
     result = JoinResult()
     if len(points) < 2:
         return result
-    flat_tree: Optional[FlatEpsilonKdbTree] = None
-    built_here = False
-    build_seconds = 0.0
-    if isinstance(tree, FlatEpsilonKdbTree):
-        # A pre-built flat tree is traversal-ready; no build span opens,
-        # so a trace of a join over a reloaded (memmapped) tree shows no
-        # construction work at all.
-        _check_tree_reuse(spec, tree.spec.epsilon, tree.grid.eps)
-        flat_tree = tree
-    else:
+    if tree is None:
         with trace.span(
             "build", points=len(points), dims=points.shape[1], epsilon=spec.epsilon
         ) as build_span:
-            if tree is not None:
-                _check_tree_reuse(spec, tree.spec.epsilon, tree.grid.eps)
-                tree.finalize()
-            else:
-                flat_tree = FlatEpsilonKdbTree.build(points, spec)
-                built_here = True
-        build_seconds = build_span.duration
-    if flat_tree is not None:
-        kernel = build_kernel_context(
-            spec,
-            flat_tree.points_flat,
-            grid=flat_tree.grid,
-            split_dims=flat_tree.split_dims(),
-            sort_dim=flat_tree.sort_dim,
-        )
-        with trace.span("self-join-traversal", points=len(points)) as join_span:
-            stats = _flat_join(
-                flat_tree, flat_tree, spec, sink, kernel, _Level(selfs=[_ROOT]), 0
-            )
-            join_span.set_attribute("pairs", sink.count)
-            join_span.set_attribute("leaf_joins", stats.leaf_joins)
-        stats.build_nodes = flat_tree.n_nodes
-        stats.build_sort_seconds = (
-            flat_tree.build_sort_seconds if built_here else 0.0
-        )
+            tree = FlatEpsilonKdbTree.build(points, spec)
+        result.build_seconds = build_span.duration
+        build_sort_seconds = tree.build_sort_seconds
     else:
-        kernel = build_kernel_context(
-            spec,
-            points,
-            grid=tree.grid,
-            split_dims=tree.split_dims(),
-            sort_dim=tree.sort_dim,
-        )
-        with trace.span("self-join-traversal", points=len(points)) as join_span:
-            ctx = _JoinContext(
-                points, points, tree.grid, spec, sink, self_mode=True, kernel=kernel
-            )
-            _self_join_node(ctx, tree.root)
-            ctx.finish()
-            join_span.set_attribute("pairs", sink.count)
-            join_span.set_attribute("leaf_joins", ctx.stats.leaf_joins)
-        stats = ctx.stats
+        # A pre-built tree is traversal-ready; no build span opens, so a
+        # trace of a join over a reloaded (memmapped) tree shows no
+        # construction work at all.
+        _check_tree_reuse(spec, tree.spec.epsilon, tree.grid.eps)
+        build_sort_seconds = 0.0
+    kernel = build_kernel_context(
+        spec,
+        tree.points_flat,
+        grid=tree.grid,
+        split_dims=tree.split_dims(),
+        sort_dim=tree.sort_dim,
+    )
+    with trace.span("self-join-traversal", points=len(points)) as join_span:
+        stats = _flat_join(tree, tree, spec, sink, kernel, _Level(selfs=[_ROOT]), 0)
+        join_span.set_attribute("pairs", sink.count)
+        join_span.set_attribute("leaf_joins", stats.leaf_joins)
+    stats.build_nodes = tree.n_nodes
+    stats.build_sort_seconds = build_sort_seconds
+    stats.pairs_emitted = sink.count
     result.stats = stats
-    result.stats.pairs_emitted = sink.count
-    result.build_seconds = build_seconds
     result.join_seconds = join_span.duration
     if collect:
         result.pairs = sink.sorted_pairs()

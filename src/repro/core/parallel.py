@@ -44,8 +44,8 @@ from repro.core.epsilon_kdb import Grid
 from repro.core.external import merge_cell_counts, plan_stripes
 from repro.core.flat_build import FlatEpsilonKdbTree
 from repro.core.join import (
-    _flat_cross_join_range,
     _flat_self_join_range,
+    _flat_two_set_range,
     epsilon_kdb_join,
     epsilon_kdb_self_join,
     join_flat_trees,
@@ -180,7 +180,7 @@ def _flat_cross_stripe_task(
         )
     collector = PairCollector()
     with trace.span("two-set-traversal") as join_span:
-        stats = _flat_cross_join_range(
+        stats = _flat_two_set_range(
             tree_r, tree_s, spec, cell_lo, cell_hi, collector, kernel
         )
         join_span.set_attribute("pairs", collector.count)

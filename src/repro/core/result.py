@@ -63,8 +63,8 @@ class JoinStats:
         coordinates_touched: individual point coordinates the cascade
             kernels actually read; the monolithic kernel would have read
             ``cascade_candidates * d``.
-        build_nodes: nodes in the epsilon-kdB tree(s) built for this
-            join; filled in by the flat build (0 on the pointer path).
+        build_nodes: nodes in the flat epsilon-kdB tree(s) this join
+            traversed.
         build_sort_seconds: wall-clock the flat build spent in its
             ``lexsort`` calls, the dominant build cost.
         updates_applied: insert/delete batches an incremental session

@@ -6,7 +6,7 @@ read from.  Code under measurement opens *spans*::
     from repro.obs import trace
 
     with trace.span("build", points=len(points)) as sp:
-        tree = EpsilonKdbTree.build(points, spec)
+        tree = FlatEpsilonKdbTree.build(points, spec)
     result.build_seconds = sp.duration
 
 Spans nest per thread (a thread-local stack), carry attributes and

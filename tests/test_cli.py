@@ -204,6 +204,31 @@ def test_search_explicit_query(capsys):
     assert "hits" in out
 
 
+def test_search_hit_counts_match_brute_force(tmp_path, capsys):
+    """Every printed hit count is the linear-scan count for its query,
+    including a query outside the points' bounding box."""
+    points = np.random.default_rng(2).random((500, 3))
+    source = tmp_path / "points.npy"
+    np.save(source, points)
+    queries = [[0.5, 0.5, 0.5], [0.1, 0.9, 0.2], [1.1, -0.05, 0.5]]
+    args = ["search", "--epsilon", "0.2", "--input", str(source)]
+    for query in queries:
+        args += ["--query", ",".join(str(v) for v in query)]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    printed = [
+        int(line.split(": ")[1].split(" hits")[0])
+        for line in out.splitlines()
+        if line.startswith("query ")
+    ]
+    expected = [
+        int((np.linalg.norm(points - np.array(query), axis=1) <= 0.2).sum())
+        for query in queries
+    ]
+    assert printed == expected
+    assert all(expected)
+
+
 def test_input_csv_file(tmp_path, capsys):
     points = np.random.default_rng(1).random((50, 3))
     source = tmp_path / "points.csv"

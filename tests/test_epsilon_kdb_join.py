@@ -5,7 +5,8 @@ import pytest
 
 from _oracles import assert_same_pairs, oracle_self_pairs, oracle_two_set_pairs
 from repro import (
-    EpsilonKdbTree,
+    FlatEpsilonKdbTree,
+    IncrementalJoin,
     JoinSpec,
     PairCounter,
     epsilon_kdb_join,
@@ -165,7 +166,7 @@ class TestConfigurationVariants:
 
     def test_prebuilt_tree_reused(self, small_uniform):
         spec = JoinSpec(epsilon=0.25)
-        tree = EpsilonKdbTree.build(small_uniform, spec)
+        tree = FlatEpsilonKdbTree.build(small_uniform, spec)
         direct = epsilon_kdb_self_join(small_uniform, spec)
         reused = epsilon_kdb_self_join(small_uniform, spec, tree=tree)
         assert_same_pairs(reused.pairs, direct.pairs, "prebuilt tree")
@@ -173,7 +174,7 @@ class TestConfigurationVariants:
     def test_tree_reused_for_smaller_epsilon(self, small_clusters):
         """A tree built at a coarse epsilon answers every finer join."""
         coarse = JoinSpec(epsilon=0.2, leaf_size=32)
-        tree = EpsilonKdbTree.build(small_clusters, coarse)
+        tree = FlatEpsilonKdbTree.build(small_clusters, coarse)
         for eps in (0.15, 0.08, 0.02):
             fine = JoinSpec(epsilon=eps, leaf_size=32)
             expected = oracle_self_pairs(small_clusters, fine)
@@ -181,20 +182,22 @@ class TestConfigurationVariants:
             assert_same_pairs(result.pairs, expected, f"reuse at eps={eps}")
 
     def test_tree_reuse_for_larger_epsilon_rejected(self, small_clusters):
-        tree = EpsilonKdbTree.build(small_clusters, JoinSpec(epsilon=0.1))
+        tree = FlatEpsilonKdbTree.build(small_clusters, JoinSpec(epsilon=0.1))
         with pytest.raises(InvalidParameterError):
             epsilon_kdb_self_join(
                 small_clusters, JoinSpec(epsilon=0.3), tree=tree
             )
 
     def test_incrementally_built_tree_joins_correctly(self, small_clusters):
-        spec = JoinSpec(epsilon=0.1, leaf_size=32)
-        tree = EpsilonKdbTree.empty(small_clusters, spec)
-        for index in range(len(small_clusters)):
-            tree.insert(index)
+        """A session grown batch by batch, compacting its delta into a
+        base tree along the way, ends on the oracle's pairs."""
+        spec = JoinSpec(epsilon=0.1, leaf_size=32, delta_threshold=250)
+        session = IncrementalJoin(spec)
+        for chunk in np.array_split(small_clusters, 12):
+            session.insert(chunk)
+        assert session.stats.compactions > 0
         expected = oracle_self_pairs(small_clusters, spec)
-        result = epsilon_kdb_self_join(small_clusters, spec, tree=tree)
-        assert_same_pairs(result.pairs, expected, "incremental tree")
+        assert_same_pairs(session.current_pairs(), expected, "incremental tree")
 
 
 class TestStatistics:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import JoinSpec
 from repro.core.epsilon_kdb import EpsilonKdbTree, Grid, InternalNode, LeafNode
+from repro.core.flat_build import FlatEpsilonKdbTree
 from repro.errors import DomainError, InvalidParameterError
 
 
@@ -173,13 +174,15 @@ class TestBulkBuild:
         assert isinstance(tree.root, LeafNode)
 
     def test_leaves_sorted_by_sort_dim(self, small_uniform):
-        tree = EpsilonKdbTree.build(
+        """The flat build's leaves come out sorted by the sweep
+        dimension, the order the band sweep needs."""
+        tree = FlatEpsilonKdbTree.build(
             small_uniform, JoinSpec(epsilon=0.15, leaf_size=32)
         )
-        for leaf in tree.iter_leaves():
-            values = tree.points[leaf.indices, tree.sort_dim]
+        for start, stop in tree.leaf_slices():
+            values = small_uniform[tree.perm[start:stop], tree.sort_dim]
             assert (np.diff(values) >= 0).all()
-            assert np.allclose(leaf.sort_values, values)
+            assert np.array_equal(tree.sort_values[start:stop], values)
 
     def test_describe_summary(self, small_uniform):
         tree = EpsilonKdbTree.build(
@@ -221,7 +224,6 @@ class TestIncrementalInsert:
         tree = EpsilonKdbTree.empty(small_clusters, spec)
         for index in range(len(small_clusters)):
             tree.insert(index)
-        tree.finalize()
         assert leaf_point_count(tree) == len(small_clusters)
         check_cell_containment(tree)
 
@@ -237,22 +239,3 @@ class TestIncrementalInsert:
                 assert leaf.size <= spec.leaf_size + 1 or leaf.level == len(
                     tree.split_order
                 )
-
-    def test_finalize_is_idempotent(self, small_uniform):
-        tree = EpsilonKdbTree.build(small_uniform, JoinSpec(epsilon=0.2))
-        first = [leaf.indices.copy() for leaf in tree.iter_leaves()]
-        tree.finalize()
-        second = [leaf.indices for leaf in tree.iter_leaves()]
-        for a, b in zip(first, second):
-            assert (a == b).all()
-
-    def test_insert_after_finalize_marks_dirty(self):
-        points = np.random.default_rng(4).random((50, 2))
-        spec = JoinSpec(epsilon=0.3, leaf_size=100)
-        tree = EpsilonKdbTree.empty(points, spec)
-        for index in range(49):
-            tree.insert(index)
-        tree.finalize()
-        tree.insert(49)
-        tree.finalize()
-        assert leaf_point_count(tree) == 50

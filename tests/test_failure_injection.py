@@ -15,13 +15,14 @@ import pytest
 from repro import (
     EpsilonKdbTree,
     FaultPlan,
+    FlatEpsilonKdbTree,
     Grid,
     JoinSpec,
     external_join,
     external_self_join,
 )
 from repro.core import epsilon_kdb_join, epsilon_kdb_self_join
-from repro.core.join import _cross_join, _flatten
+from repro.core.join import join_flat_trees
 from repro.core.parallel import ParallelJoinExecutor
 from repro.errors import (
     DomainError,
@@ -58,41 +59,41 @@ class TestGridDomainViolations:
         if len(outside) == 0:
             pytest.skip("sample happened to cover the full box")
         with pytest.raises(DomainError):
-            EpsilonKdbTree.build(points, JoinSpec(epsilon=0.1), grid=grid)
+            FlatEpsilonKdbTree.build(points, JoinSpec(epsilon=0.1), grid=grid)
 
     def test_empty_tree_with_shared_grid_ok(self):
         points = np.random.default_rng(1).random((20, 2))
         grid = Grid.fit(points, eps=0.2)
-        tree = EpsilonKdbTree.empty(points, JoinSpec(epsilon=0.2), grid=grid)
+        tree = FlatEpsilonKdbTree.build(
+            np.empty((0, 2)), JoinSpec(epsilon=0.2), grid=grid
+        )
         assert len(tree) == 0
 
 
 class TestTraversalMisuse:
     def test_unfinalized_leaf_rejected_by_traversal(self):
+        """A pointer tree built point by point is not traversal-ready:
+        the join rejects it with a typed error, never mis-joins it."""
         points = np.random.default_rng(2).random((30, 2))
         spec = JoinSpec(epsilon=0.2)
         tree = EpsilonKdbTree.empty(points, spec)
         for index in range(30):
             tree.insert(index)
-        # Bypassing finalize() must be caught, not silently mis-joined.
-        leaf = next(tree.iter_leaves())
-        with pytest.raises(InvalidParameterError):
-            _flatten(leaf)
+        with pytest.raises(InvalidParameterError, match="FlatEpsilonKdbTree"):
+            epsilon_kdb_self_join(points, spec, tree=tree)
 
     def test_mismatched_split_orders_rejected(self):
+        """Two trees on one grid that split different dimensions first
+        cannot be walked in step; the join says so instead of pairing
+        unrelated cells."""
         points = np.random.default_rng(3).random((600, 4))
         grid = Grid.fit(points, eps=0.05)
-        spec_a = JoinSpec(epsilon=0.05, leaf_size=8)
+        spec_a = JoinSpec(epsilon=0.05, leaf_size=8, split_order=[0, 1, 2, 3])
         spec_b = JoinSpec(epsilon=0.05, leaf_size=8, split_order=[3, 2, 1, 0])
-        tree_a = EpsilonKdbTree.build(points, spec_a, grid=grid)
-        tree_b = EpsilonKdbTree.build(points, spec_b, grid=grid)
-
-        from repro.core.join import _JoinContext
-        from repro.core.result import PairCounter
-
-        ctx = _JoinContext(points, points, grid, spec_a, PairCounter(), False)
-        with pytest.raises(InvalidParameterError):
-            _cross_join(ctx, tree_a.root, tree_b.root)
+        tree_a = FlatEpsilonKdbTree.build(points, spec_a, grid=grid)
+        tree_b = FlatEpsilonKdbTree.build(points, spec_b, grid=grid)
+        with pytest.raises(InvalidParameterError, match="split dimension"):
+            join_flat_trees(tree_a, tree_b, spec_a)
 
 
 class TestStorageMisuse:

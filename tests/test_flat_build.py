@@ -2,20 +2,22 @@
 
 The contract under test: the flat build (radix cell-coding + stable
 whole-array sorts + CSR leaf layout) produces the *same leaf partition* as the
-pointer build, and the flat frontier gives **byte-identical** join output
-and equal counters to the recursive pointer traversal (the reference,
-reached through :func:`_oracles.pointer_self_join` /
-:func:`_oracles.pointer_join`) through every engine — serial, parallel
-(in-process and pooled, including under injected faults), and
-external-memory.  Plus reuse of a pre-built tree at a smaller epsilon.
+pointer build, and the flat frontier gives the brute-force oracle's pairs
+**byte for byte** through every engine — serial, parallel (in-process and
+pooled, including under injected faults), and external-memory — with
+traversal counters pinned to the values the recursive pointer traversal
+produced on the same fixtures.  Plus reuse of a pre-built tree at a
+smaller epsilon.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import pointer_join, pointer_self_join
+from _oracles import oracle_self_pairs, oracle_two_set_pairs
 from repro import JoinSpec
 from repro.core.epsilon_kdb import EpsilonKdbTree, Grid
 from repro.core.external import external_self_join
@@ -27,6 +29,8 @@ from repro.core.result import JoinStats
 from repro.errors import InvalidParameterError
 from repro.metrics import WeightedLpMetric
 from repro.obs import MetricsRegistry
+from repro.planner import profile
+from repro.planner.profile import CostProfile
 
 
 def _spec(**kwargs):
@@ -46,6 +50,50 @@ def _counters(result):
         stats.distance_computations,
         stats.kernel_blocks,
     )
+
+
+#: Work-queue tile for the pinned counters: ``kernel_blocks`` is the
+#: candidate count divided by it, rounded up.
+_PINNED_TILE_ROWS = 4096
+
+#: ``(node_pairs_visited, leaf_joins, distance_computations,
+#: kernel_blocks)`` of the recursive pointer traversal on each
+#: ``test_traversal_stats_match_pointer`` case, recorded at a 4096-row
+#: tile before that traversal was deleted.
+_POINTER_COUNTERS = {
+    "self-pruned-l1-leaf-default": (274, 133, 157007, 39),
+    "self-pruned-l1-deep": (1757, 380, 120112, 30),
+    "self-pruned-l2-leaf-default": (274, 133, 157007, 39),
+    "self-pruned-l2-deep": (1757, 380, 120112, 30),
+    "self-pruned-linf-leaf-default": (274, 133, 157007, 39),
+    "self-pruned-linf-deep": (1757, 380, 120112, 30),
+    "self-pruned-weighted-leaf-default": (469, 153, 389907, 96),
+    "self-pruned-weighted-deep": (1460, 378, 389907, 96),
+    "self-unpruned-l1-leaf-default": (19, 15, 20924, 6),
+    "self-unpruned-l1-deep": (3300, 903, 20924, 6),
+    "self-unpruned-l2-leaf-default": (19, 15, 20924, 6),
+    "self-unpruned-l2-deep": (3300, 903, 20924, 6),
+    "self-unpruned-linf-leaf-default": (19, 15, 20924, 6),
+    "self-unpruned-linf-deep": (3300, 903, 20924, 6),
+    "self-unpruned-weighted-leaf-default": (16, 10, 23658, 6),
+    "self-unpruned-weighted-deep": (648, 153, 23658, 6),
+    "two-set-pruned-l1-leaf-default": (30, 24, 77232, 19),
+    "two-set-pruned-l1-deep": (2132, 459, 40127, 10),
+    "two-set-pruned-l2-leaf-default": (30, 24, 77232, 19),
+    "two-set-pruned-l2-deep": (2132, 459, 40127, 10),
+    "two-set-pruned-linf-leaf-default": (30, 24, 77232, 19),
+    "two-set-pruned-linf-deep": (2132, 459, 40127, 10),
+    "two-set-pruned-weighted-leaf-default": (77, 45, 132577, 33),
+    "two-set-pruned-weighted-deep": (1796, 420, 132577, 33),
+    "two-set-unpruned-l1-leaf-default": (4, 3, 6926, 2),
+    "two-set-unpruned-l1-deep": (3146, 868, 6926, 2),
+    "two-set-unpruned-l2-leaf-default": (4, 3, 6926, 2),
+    "two-set-unpruned-l2-deep": (3146, 868, 6926, 2),
+    "two-set-unpruned-linf-leaf-default": (4, 3, 6926, 2),
+    "two-set-unpruned-linf-deep": (3146, 868, 6926, 2),
+    "two-set-unpruned-weighted-leaf-default": (3, 2, 8062, 2),
+    "two-set-unpruned-weighted-deep": (562, 169, 8062, 2),
+}
 
 
 _COUNTER_METRICS = {
@@ -158,17 +206,16 @@ class TestSerialEquivalence:
     @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
     def test_self_join_identical(self, metric, small_clusters):
         flat = epsilon_kdb_self_join(small_clusters, _spec(metric=metric))
-        pointer = pointer_self_join(small_clusters, _spec(metric=metric))
+        expected = oracle_self_pairs(small_clusters, _spec(metric=metric))
         assert len(flat.pairs) > 0
-        assert _pair_bytes(flat) == _pair_bytes(pointer)
+        assert _pair_bytes(flat) == expected.tobytes()
 
     def test_two_set_join_identical(self, rng):
         r = rng.random((700, 6))
         s = rng.random((800, 6)) * 1.1 - 0.05
         flat = epsilon_kdb_join(r, s, _spec())
-        pointer = pointer_join(r, s, _spec())
         assert len(flat.pairs) > 0
-        assert _pair_bytes(flat) == _pair_bytes(pointer)
+        assert _pair_bytes(flat) == oracle_two_set_pairs(r, s, _spec()).tobytes()
 
     def test_auto_resolves_to_flat(self, small_uniform):
         """With no pre-built tree the join builds a flat tree."""
@@ -178,32 +225,33 @@ class TestSerialEquivalence:
     def test_pruning_off_identical(self, small_uniform):
         spec = _spec(adjacency_pruning=False)
         flat = epsilon_kdb_self_join(small_uniform, spec)
-        pointer = pointer_self_join(small_uniform, spec)
-        assert _pair_bytes(flat) == _pair_bytes(pointer)
+        assert _pair_bytes(flat) == oracle_self_pairs(small_uniform, spec).tobytes()
 
     def test_custom_split_order_and_sort_dim(self, small_uniform):
         kwargs = dict(split_order=[3, 1, 0, 2, 7, 6, 5, 4], sort_dim=2)
         flat = epsilon_kdb_self_join(small_uniform, _spec(**kwargs))
-        pointer = pointer_self_join(small_uniform, _spec(**kwargs))
-        assert _pair_bytes(flat) == _pair_bytes(pointer)
+        expected = oracle_self_pairs(small_uniform, _spec(**kwargs))
+        assert _pair_bytes(flat) == expected.tobytes()
 
     def test_build_stats_populated(self, small_uniform):
         result = epsilon_kdb_self_join(small_uniform, _spec())
         assert result.stats.build_nodes > 0
         assert result.stats.build_sort_seconds > 0.0
-        pointer = pointer_self_join(small_uniform, _spec())
-        assert pointer.stats.build_nodes == 0
 
     @pytest.mark.parametrize("leaf_size", [None, 4], ids=["leaf-default", "deep"])
     @pytest.mark.parametrize("metric", sorted(_COUNTER_METRICS))
     @pytest.mark.parametrize("pruning", [True, False], ids=["pruned", "unpruned"])
     @pytest.mark.parametrize("kind", ["self", "two-set"])
     def test_traversal_stats_match_pointer(
-        self, small_clusters, kind, pruning, metric, leaf_size
+        self, small_clusters, kind, pruning, metric, leaf_size, monkeypatch
     ):
-        """The frontier's counters equal the recursive pointer
-        traversal's at every entry point, and so do the pairs."""
-        # Unpruned pointer traversals visit every child pair: keep small.
+        """The frontier's counters equal the ones the recursive pointer
+        traversal recorded on the same case (:data:`_POINTER_COUNTERS`),
+        and its pairs equal brute force."""
+        monkeypatch.setattr(
+            profile, "_ACTIVE", CostProfile(tile_rows=_PINNED_TILE_ROWS)
+        )
+        # Unpruned traversals visit every child pair: keep small.
         points = small_clusters if pruning else small_clusters[:300]
         kwargs = dict(metric=_COUNTER_METRICS[metric], adjacency_pruning=pruning)
         if leaf_size is not None:
@@ -211,13 +259,22 @@ class TestSerialEquivalence:
         spec = _spec(**kwargs)
         if kind == "self":
             flat = epsilon_kdb_self_join(points, spec)
-            pointer = pointer_self_join(points, spec)
+            expected = oracle_self_pairs(points, spec)
         else:
             r, s = points[::2], points[1::3] + 0.01
             flat = epsilon_kdb_join(r, s, spec)
-            pointer = pointer_join(r, s, spec)
-        assert _counters(flat) == _counters(pointer)
-        assert _pair_bytes(flat) == _pair_bytes(pointer)
+            expected = oracle_two_set_pairs(r, s, spec)
+        case = "-".join(
+            [
+                kind,
+                "pruned" if pruning else "unpruned",
+                metric,
+                "deep" if leaf_size else "leaf-default",
+            ]
+        )
+        assert flat.stats.kernel_tile_rows == _PINNED_TILE_ROWS
+        assert _counters(flat) == _POINTER_COUNTERS[case]
+        assert _pair_bytes(flat) == expected.tobytes()
 
     @pytest.mark.parametrize("kind", ["self", "two-set"])
     def test_stripe_range_stats_sum_to_serial(self, small_clusters, kind):
@@ -254,34 +311,34 @@ class TestSerialEquivalence:
 class TestEngineEquivalence:
     def test_parallel_in_process_identical(self, small_clusters):
         spec = _spec(n_workers=3)
-        serial = pointer_self_join(small_clusters, _spec())
+        expected = oracle_self_pairs(small_clusters, _spec())
         result = ParallelJoinExecutor(
             spec, use_processes=False, serial_threshold=0
         ).self_join(small_clusters)
-        assert _pair_bytes(result) == _pair_bytes(serial)
+        assert _pair_bytes(result) == expected.tobytes()
         assert result.stats.duplicate_pairs_merged == 0
         assert result.stats.build_nodes > 0
 
     def test_parallel_pooled_identical(self, small_clusters):
         spec = _spec(n_workers=2)
-        serial = pointer_self_join(small_clusters, _spec())
+        expected = oracle_self_pairs(small_clusters, _spec())
         result = ParallelJoinExecutor(spec, serial_threshold=0).self_join(
             small_clusters
         )
-        assert _pair_bytes(result) == _pair_bytes(serial)
+        assert _pair_bytes(result) == expected.tobytes()
 
     def test_parallel_two_set_identical(self, rng):
         r = rng.random((600, 5))
         s = rng.random((500, 5))
-        serial = pointer_join(r, s, _spec())
+        expected = oracle_two_set_pairs(r, s, _spec())
         result = ParallelJoinExecutor(
             _spec(n_workers=3), use_processes=False, serial_threshold=0
         ).join(r, s)
-        assert _pair_bytes(result) == _pair_bytes(serial)
+        assert _pair_bytes(result) == expected.tobytes()
 
     def test_parallel_fault_injection_identical(self, small_clusters):
         spec = _spec(n_workers=3)
-        serial = pointer_self_join(small_clusters, _spec())
+        expected = oracle_self_pairs(small_clusters, _spec())
         plan = FaultPlan(seed=7).crash_task(0).crash_task(2)
         result = ParallelJoinExecutor(
             spec,
@@ -290,13 +347,12 @@ class TestEngineEquivalence:
             retry_backoff=0.0,
             fault_plan=plan,
         ).self_join(small_clusters)
-        assert _pair_bytes(result) == _pair_bytes(serial)
+        assert _pair_bytes(result) == expected.tobytes()
         assert result.stats.tasks_retried > 0
 
     def test_external_identical(self, small_clusters):
-        serial = pointer_self_join(small_clusters, _spec())
+        expected = oracle_self_pairs(small_clusters, _spec())
         external = external_self_join(small_clusters, _spec(), memory_points=400)
-        expected = np.unique(serial.pairs, axis=0)
         assert np.array_equal(np.unique(external.pairs, axis=0), expected)
 
 
@@ -337,6 +393,109 @@ class TestTreeReuse:
         wider = tree_cls.build(np.hstack([points, points[:, :1]]), spec)
         with pytest.raises(InvalidParameterError, match="pre-built tree"):
             epsilon_kdb_self_join(points, spec, tree=wider)
+
+    def test_pointer_tree_rejected(self, small_uniform):
+        """Only the flat tree is traversed; a pointer tree is a typed
+        error naming the class to build instead."""
+        spec = _spec(epsilon=0.2)
+        tree = EpsilonKdbTree.build(small_uniform, spec)
+        with pytest.raises(InvalidParameterError, match="FlatEpsilonKdbTree"):
+            epsilon_kdb_self_join(small_uniform, spec, tree=tree)
+
+
+# ----------------------------------------------------------------------
+# tiny epsilon: cell counts beyond what int64 key arithmetic can pack
+# ----------------------------------------------------------------------
+def _chain(eps, shift=0.0):
+    """300 points ``0.6 * eps`` apart along y at x = 0.9: consecutive
+    points pair up across a long run of adjacent cells."""
+    steps = np.arange(300)
+    return np.column_stack([np.full(300, 0.9), 0.25 + steps * 0.6 * eps + shift])
+
+
+def _duplicate_groups(groups, copies, uniform=3000, seed=3):
+    """``groups`` points repeated ``copies`` times each, plus ``uniform``
+    distinct points, in three dimensions."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((groups, 3))
+    return np.vstack([np.repeat(centers, copies, axis=0), rng.random((uniform, 3))])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTinyEpsilon:
+    @pytest.mark.parametrize("eps", [1e-14, 1e-15, 1e-16, 1e-17, 1e-18])
+    def test_chain_matches_brute_force(self, eps):
+        """Two-set, parallel two-set, self-join and batched range
+        queries stay exact when the grid has ~1/eps cells per dimension."""
+        rng = np.random.default_rng(7)
+        r = np.vstack([rng.random((3000, 2)) * [0.8, 1.0], _chain(eps)])
+        s = np.vstack([rng.random((500, 2)) * [0.8, 1.0], _chain(eps, 0.3 * eps)])
+        spec = JoinSpec(epsilon=eps)
+        expected = oracle_two_set_pairs(r, s, spec)
+        assert len(expected), "the case must emit pairs to prove anything"
+        assert _pair_bytes(epsilon_kdb_join(r, s, spec)) == expected.tobytes()
+        parallel = ParallelJoinExecutor(
+            JoinSpec(epsilon=eps, n_workers=2),
+            use_processes=False,
+            serial_threshold=0,
+        ).join(r, s)
+        assert _pair_bytes(parallel) == expected.tobytes()
+        self_join = epsilon_kdb_self_join(r, spec)
+        assert _pair_bytes(self_join) == oracle_self_pairs(r, spec).tobytes()
+        queries = s[400:]  # 100 uniform rows, then the shifted chain
+        hits = FlatEpsilonKdbTree.build(r, spec).batch_range_query(queries)
+        probe = oracle_two_set_pairs(queries, r, spec)
+        for row, found in enumerate(hits):
+            assert found.tolist() == probe[probe[:, 0] == row, 1].tolist()
+        assert sum(len(found) for found in hits) == len(probe) > 0
+
+    def test_duplicate_groups_match_brute_force(self):
+        """Cells of exact duplicates stay oversized at every level."""
+        points = _duplicate_groups(20, 200)
+        spec = JoinSpec(epsilon=1e-18)
+        result = epsilon_kdb_self_join(points, spec)
+        expected = oracle_self_pairs(points, spec)
+        assert len(expected) == 20 * 200 * 199 // 2
+        assert _pair_bytes(result) == expected.tobytes()
+
+    def test_build_sorts_by_two_keys_when_packed_key_overflows(self):
+        """5000 oversized nodes times ~1e15 cells no longer pack into
+        one int64 key: the build sorts by (node, digit) instead."""
+        points = _duplicate_groups(5000, 2, uniform=0) * 1e-3
+        spec = JoinSpec(epsilon=1e-18, leaf_size=1)
+        with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+            tree = FlatEpsilonKdbTree.build(points, spec)
+        assert lexsort.called
+        assert tree.n_leaves == 5000
+        result = epsilon_kdb_self_join(points, spec, tree=tree)
+        first = np.arange(0, 10000, 2, dtype=np.int64)
+        assert result.pairs.tolist() == np.column_stack([first, first + 1]).tolist()
+
+    @pytest.mark.parametrize("eps", [1e-20, 1e-300])
+    def test_cell_count_clamped(self, eps):
+        """``span / eps`` overflows int64; the clamped grid is exact."""
+        points = _duplicate_groups(20, 5)
+        spec = JoinSpec(epsilon=eps)
+        assert Grid.fit(points, eps).n_cells.tolist() == [2**50] * 3
+        result = epsilon_kdb_self_join(points, spec)
+        expected = oracle_self_pairs(points, spec)
+        assert len(expected) == 20 * 10
+        assert _pair_bytes(result) == expected.tobytes()
+
+
+    @pytest.mark.parametrize("eps", [1e-16, 1e-17])
+    def test_rounding_far_from_lower_bound(self, eps):
+        """Two values within eps of each other, close to 0, on either
+        side of a rounding boundary of ``x - lo`` with ``lo = -1``: an
+        uncapped grid puts them 22 cells apart at eps = 1e-17."""
+        half_ulp = np.spacing(1.0) / 2
+        points = np.array(
+            [[-1.0, 0.0], [1.0, 0.0], [half_ulp - 3e-18, 0.5], [half_ulp + 3e-18, 0.5]]
+        )
+        spec = JoinSpec(epsilon=eps, leaf_size=1)
+        result = epsilon_kdb_self_join(points, spec)
+        assert result.pairs.tolist() == [[2, 3]]
+        assert _pair_bytes(result) == oracle_self_pairs(points, spec).tobytes()
 
 
 # ----------------------------------------------------------------------

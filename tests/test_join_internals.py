@@ -1,83 +1,18 @@
 """White-box tests for the epsilon-kdB join traversal internals."""
 
 import numpy as np
-import pytest
 
-from repro import EpsilonKdbTree, JoinSpec, PairCounter, epsilon_kdb_self_join
-from repro.core.epsilon_kdb import InternalNode, LeafNode
-from repro.core.join import _flatten, _JoinContext, _leaf_vs_internal
+from repro import FlatEpsilonKdbTree, JoinSpec, epsilon_kdb_self_join
 from repro.datasets import gaussian_clusters, uniform_points
-
-
-class TestFlatten:
-    def test_leaf_becomes_tuple(self):
-        points = np.random.default_rng(0).random((20, 3))
-        tree = EpsilonKdbTree.build(points, JoinSpec(epsilon=0.5))
-        leaf = next(tree.iter_leaves())
-        flat = _flatten(leaf)
-        assert isinstance(flat, tuple)
-        indices, values = flat
-        assert (values == points[indices, tree.sort_dim]).all()
-
-    def test_internal_passes_through(self):
-        points = np.random.default_rng(1).random((500, 4))
-        tree = EpsilonKdbTree.build(points, JoinSpec(epsilon=0.1, leaf_size=16))
-        assert isinstance(tree.root, InternalNode)
-        assert _flatten(tree.root) is tree.root
-
-
-class TestLeafFragmentFiltering:
-    def test_fragments_preserve_sort_order(self):
-        """The leaf-vs-internal path filters by cell mask; the surviving
-        fragment must stay sorted on the sort dimension (the sweep
-        assumes it)."""
-        rng = np.random.default_rng(2)
-        points = rng.random((800, 4))
-        spec = JoinSpec(epsilon=0.15, leaf_size=32)
-        tree = EpsilonKdbTree.build(points, spec)
-        # Take any real leaf and filter it the way the traversal does.
-        leaf = max(tree.iter_leaves(), key=lambda l: l.size)
-        indices, values = _flatten(leaf)
-        cells = tree.grid.cell_of(points[indices, 0], 0)
-        for target in np.unique(cells):
-            mask = np.abs(cells - target) <= 1
-            fragment_values = values[mask]
-            assert (np.diff(fragment_values) >= 0).all()
-
-    def test_leaf_vs_internal_counts_node_visits(self):
-        rng = np.random.default_rng(3)
-        points = rng.random((2000, 6))
-        spec = JoinSpec(epsilon=0.1, leaf_size=64)
-        tree = EpsilonKdbTree.build(points, spec)
-        counter = PairCounter()
-        ctx = _JoinContext(points, points, tree.grid, spec, counter, True)
-        # Find a (leaf, internal) sibling pair in the real tree.
-        found = False
-        stack = [tree.root]
-        while stack and not found:
-            node = stack.pop()
-            if isinstance(node, InternalNode):
-                children = list(node.children.values())
-                leaves = [c for c in children if isinstance(c, LeafNode)]
-                internals = [c for c in children if isinstance(c, InternalNode)]
-                if leaves and internals:
-                    before = ctx.stats.node_pairs_visited
-                    _leaf_vs_internal(
-                        ctx, _flatten(leaves[0]), internals[0],
-                        leaf_on_left=True,
-                    )
-                    assert ctx.stats.node_pairs_visited > before
-                    found = True
-                stack.extend(internals)
-        if not found:
-            pytest.skip("tree shape did not produce a mixed sibling pair")
 
 
 class TestTraversalAccounting:
     def test_leaf_joins_counted(self):
         points = uniform_points(3000, 8, seed=5)
         result = epsilon_kdb_self_join(points, JoinSpec(epsilon=0.2, leaf_size=64))
-        info = EpsilonKdbTree.build(points, JoinSpec(epsilon=0.2, leaf_size=64)).describe()
+        info = FlatEpsilonKdbTree.build(
+            points, JoinSpec(epsilon=0.2, leaf_size=64)
+        ).describe()
         # At least one self-join per leaf.
         assert result.stats.leaf_joins >= info.leaves
 

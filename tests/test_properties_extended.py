@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from _oracles import assert_same_pairs, oracle_self_pairs, oracle_two_set_pairs
 from repro import (
-    EpsilonKdbTree,
+    FlatEpsilonKdbTree,
+    IncrementalJoin,
     JoinSpec,
     epsilon_kdb_self_join,
     external_join,
@@ -79,7 +80,7 @@ def test_range_query_equals_linear_scan(points, eps, metric, query_seed):
     if len(points) == 0:
         return
     spec = JoinSpec(epsilon=eps, metric=metric, leaf_size=4)
-    tree = EpsilonKdbTree.build(points, spec)
+    tree = FlatEpsilonKdbTree.build(points, spec)
     rng = np.random.default_rng(query_seed)
     # Mix of in-domain and slightly out-of-domain queries.
     queries = [
@@ -106,7 +107,7 @@ def test_tree_reuse_at_finer_epsilon(points, build_eps, query_eps, metric):
         query_eps = build_eps
     coarse = JoinSpec(epsilon=build_eps, metric=metric, leaf_size=4)
     fine = JoinSpec(epsilon=query_eps, metric=metric, leaf_size=4)
-    tree = EpsilonKdbTree.build(points, coarse)
+    tree = FlatEpsilonKdbTree.build(points, coarse)
     expected = oracle_self_pairs(points, fine)
     result = epsilon_kdb_self_join(points, fine, tree=tree)
     assert_same_pairs(result.pairs, expected, "property reuse")
@@ -115,10 +116,11 @@ def test_tree_reuse_at_finer_epsilon(points, build_eps, query_eps, metric):
 @settings(max_examples=25, deadline=None)
 @given(points=quantized_points(max_n=60, max_d=4), eps=epsilons)
 def test_incremental_and_bulk_trees_join_identically(points, eps):
-    spec = JoinSpec(epsilon=eps, leaf_size=4)
+    """Inserting one point at a time into a session (a base tree plus a
+    delta, compacted as it grows) ends on the bulk join's pairs."""
+    spec = JoinSpec(epsilon=eps, leaf_size=4, delta_threshold=16)
     bulk = epsilon_kdb_self_join(points, spec)
-    incremental_tree = EpsilonKdbTree.empty(points, spec)
-    for index in range(len(points)):
-        incremental_tree.insert(index)
-    incremental = epsilon_kdb_self_join(points, spec, tree=incremental_tree)
-    assert_same_pairs(incremental.pairs, bulk.pairs, "property incremental")
+    session = IncrementalJoin(spec)
+    for point in points:
+        session.insert(point[np.newaxis, :])
+    assert_same_pairs(session.current_pairs(), bulk.pairs, "property incremental")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import EpsilonKdbTree, JoinSpec
+from repro import FlatEpsilonKdbTree, JoinSpec
 from repro.errors import InvalidParameterError
 
 
@@ -15,7 +15,7 @@ def linear_scan(points, query, eps, metric):
 @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
 def test_matches_linear_scan(metric, small_clusters):
     spec = JoinSpec(epsilon=0.15, metric=metric, leaf_size=32)
-    tree = EpsilonKdbTree.build(small_clusters, spec)
+    tree = FlatEpsilonKdbTree.build(small_clusters, spec)
     rng = np.random.default_rng(23)
     for _ in range(25):
         query = rng.random(small_clusters.shape[1])
@@ -26,7 +26,7 @@ def test_matches_linear_scan(metric, small_clusters):
 
 def test_smaller_radius_than_build_epsilon(small_clusters):
     spec = JoinSpec(epsilon=0.2, leaf_size=32)
-    tree = EpsilonKdbTree.build(small_clusters, spec)
+    tree = FlatEpsilonKdbTree.build(small_clusters, spec)
     rng = np.random.default_rng(24)
     for _ in range(10):
         query = rng.random(small_clusters.shape[1])
@@ -36,7 +36,7 @@ def test_smaller_radius_than_build_epsilon(small_clusters):
 
 
 def test_larger_radius_rejected(small_uniform):
-    tree = EpsilonKdbTree.build(small_uniform, JoinSpec(epsilon=0.1))
+    tree = FlatEpsilonKdbTree.build(small_uniform, JoinSpec(epsilon=0.1))
     with pytest.raises(InvalidParameterError):
         tree.range_query(np.zeros(small_uniform.shape[1]), eps=0.5)
 
@@ -44,7 +44,7 @@ def test_larger_radius_rejected(small_uniform):
 def test_query_point_outside_domain(small_uniform):
     """Queries just outside the data bounding box must still be exact."""
     spec = JoinSpec(epsilon=0.3, leaf_size=32)
-    tree = EpsilonKdbTree.build(small_uniform, spec)
+    tree = FlatEpsilonKdbTree.build(small_uniform, spec)
     dims = small_uniform.shape[1]
     for query in (np.full(dims, -0.2), np.full(dims, 1.2)):
         hits = tree.range_query(query)
@@ -53,75 +53,76 @@ def test_query_point_outside_domain(small_uniform):
 
 
 def test_wrong_query_shape_rejected(small_uniform):
-    tree = EpsilonKdbTree.build(small_uniform, JoinSpec(epsilon=0.1))
+    tree = FlatEpsilonKdbTree.build(small_uniform, JoinSpec(epsilon=0.1))
     with pytest.raises(InvalidParameterError):
         tree.range_query(np.zeros(3))
 
 
 def test_query_on_incrementally_built_tree():
+    """A session grown by inserts, with compactions into its base tree
+    along the way, answers like a linear scan."""
+    from repro import IncrementalJoin
+
     rng = np.random.default_rng(25)
     points = rng.random((400, 5))
-    spec = JoinSpec(epsilon=0.2, leaf_size=16)
-    tree = EpsilonKdbTree.empty(points, spec)
-    for index in range(len(points)):
-        tree.insert(index)
+    spec = JoinSpec(epsilon=0.2, leaf_size=16, delta_threshold=60)
+    session = IncrementalJoin(spec)
+    for chunk in np.array_split(points, 8):
+        session.insert(chunk)
+    assert session.stats.compactions > 0
     query = np.full(5, 0.5)
-    hits = tree.range_query(query)
-    expected = linear_scan(points, query, 0.2, spec.metric)
-    assert hits.tolist() == expected.tolist()
+    hits = session.range_query(query)
+    expected = session.live_ids()[linear_scan(session.live_points(), query, 0.2, spec.metric)]
+    assert hits.tolist() == np.sort(expected).tolist()
 
 
 def test_empty_tree_returns_nothing():
-    # A backing array exists but nothing was inserted.
-    tree = EpsilonKdbTree.empty(np.zeros((1, 4)), JoinSpec(epsilon=0.1))
+    tree = FlatEpsilonKdbTree.build(np.empty((0, 4)), JoinSpec(epsilon=0.1))
     hits = tree.range_query(np.zeros(4))
     assert hits.tolist() == []
 
 
 # ----------------------------------------------------------------------
-# flat-tree batched queries
+# batched queries
 # ----------------------------------------------------------------------
-
-
-def _flat_tree(points, spec):
-    from repro import FlatEpsilonKdbTree
-
-    return FlatEpsilonKdbTree.build(points, spec)
 
 
 @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
 def test_batch_matches_sequential_pointer_queries(metric, small_clusters):
-    """Q batched flat-tree queries == Q sequential pointer queries, bytewise."""
+    """Q batched queries are, byte for byte, the ascending int64
+    linear-scan hits that Q sequential pointer-tree queries returned."""
     spec = JoinSpec(epsilon=0.15, metric=metric, leaf_size=32)
-    pointer = EpsilonKdbTree.build(small_clusters, spec)
-    flat = _flat_tree(small_clusters, spec)
+    flat = FlatEpsilonKdbTree.build(small_clusters, spec)
     rng = np.random.default_rng(31)
-    queries = rng.random((40, small_clusters.shape[1]))
+    dims = small_clusters.shape[1]
+    # Half anywhere in the box, half near data points so queries hit.
+    near = small_clusters[rng.choice(len(small_clusters), 20)]
+    queries = np.vstack([rng.random((20, dims)), near + rng.normal(0, 0.02, near.shape)])
     batched = flat.batch_range_query(queries)
     assert len(batched) == len(queries)
+    assert sum(len(hits) for hits in batched) > 0
     for query, hits in zip(queries, batched):
-        expected = pointer.range_query(query)
+        expected = linear_scan(small_clusters, query, 0.15, spec.metric)
         assert hits.dtype == np.int64
-        assert hits.tobytes() == expected.tobytes()
+        assert hits.tobytes() == expected.astype(np.int64).tobytes()
 
 
 def test_batch_narrower_radius_and_out_of_box(small_uniform):
     spec = JoinSpec(epsilon=0.25, leaf_size=16)
-    pointer = EpsilonKdbTree.build(small_uniform, spec)
-    flat = _flat_tree(small_uniform, spec)
+    flat = FlatEpsilonKdbTree.build(small_uniform, spec)
     rng = np.random.default_rng(32)
     # Mix in-box queries with ones outside the data bounding box.
     queries = rng.random((30, small_uniform.shape[1])) * 1.6 - 0.3
     for eps in (0.25, 0.1):
         batched = flat.batch_range_query(queries, eps=eps)
         for query, hits in zip(queries, batched):
-            expected = pointer.range_query(query, eps=eps)
-            assert hits.tobytes() == expected.tobytes()
+            expected = linear_scan(small_uniform, query, eps, spec.metric)
+            assert hits.tobytes() == expected.astype(np.int64).tobytes()
 
 
 def test_batch_single_query_delegation(small_uniform):
     spec = JoinSpec(epsilon=0.2, leaf_size=16)
-    flat = _flat_tree(small_uniform, spec)
+    flat = FlatEpsilonKdbTree.build(small_uniform, spec)
     rng = np.random.default_rng(33)
     query = rng.random(small_uniform.shape[1])
     single = flat.range_query(query)
@@ -130,7 +131,7 @@ def test_batch_single_query_delegation(small_uniform):
 
 
 def test_batch_rejects_radius_above_build_epsilon(small_uniform):
-    flat = _flat_tree(small_uniform, JoinSpec(epsilon=0.1))
+    flat = FlatEpsilonKdbTree.build(small_uniform, JoinSpec(epsilon=0.1))
     queries = np.zeros((2, small_uniform.shape[1]))
     with pytest.raises(InvalidParameterError):
         flat.batch_range_query(queries, eps=0.5)
@@ -139,7 +140,7 @@ def test_batch_rejects_radius_above_build_epsilon(small_uniform):
 
 
 def test_batch_empty_inputs(small_uniform):
-    flat = _flat_tree(small_uniform, JoinSpec(epsilon=0.1))
+    flat = FlatEpsilonKdbTree.build(small_uniform, JoinSpec(epsilon=0.1))
     assert flat.batch_range_query(np.empty((0, small_uniform.shape[1]))) == []
     with pytest.raises(InvalidParameterError):
         flat.range_query(np.zeros(small_uniform.shape[1] + 1))

@@ -116,11 +116,11 @@ def test_external_join_exact_under_weighted_metric(weighted_setup):
 
 
 def test_range_query_exact_under_weighted_metric(weighted_setup):
-    from repro import EpsilonKdbTree
+    from repro import FlatEpsilonKdbTree
 
     points, metric = weighted_setup
     spec = JoinSpec(epsilon=0.3, metric=metric, leaf_size=32)
-    tree = EpsilonKdbTree.build(points, spec)
+    tree = FlatEpsilonKdbTree.build(points, spec)
     rng = np.random.default_rng(7)
     for _ in range(10):
         query = rng.random(points.shape[1])
