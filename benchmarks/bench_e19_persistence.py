@@ -19,6 +19,12 @@ measured here on a clustered workload:
   OS) relative to a non-persisted baseline session streaming the exact
   same batches.  Compaction is disabled (huge ``delta_threshold``) so
   the deltas isolate pure journaling cost rather than snapshot publishes.
+* **re-open with a k-record tail** — the same re-open over a compacted
+  index whose journal holds k update records since the snapshot (insert
+  batches alternating with deletes of half as many live ids), for
+  k = 0, 6, 24.  Replay applies each record's state transition and runs
+  no join, so the extra cost per record is an append to the delta
+  buffer plus a sketch update, not three sub-joins.
 
 Usage::
 
@@ -34,6 +40,7 @@ import shutil
 import tempfile
 import time
 
+import numpy as np
 import pytest
 
 from _harness import clustered, scale, write_record
@@ -48,7 +55,16 @@ WAL_BATCHES = 10
 DIMS = 8
 EPSILON = 0.1
 
+#: Journal tails (update records since the last snapshot) to re-open.
+TAIL_SWEEP = [0, 6, 24]
+TAIL_BASE_N = scale(10_000)
+TAIL_BATCH_N = scale(200)
+#: Re-opens per tail length; the median is reported.
+TAIL_REOPENS = 7
+
 SMOKE_REOPEN_SWEEP = [1_000, 2_500]
+SMOKE_TAIL_BASE_N = 1_000
+SMOKE_TAIL_BATCH_N = 50
 SMOKE_WAL_BASE_N = 800
 SMOKE_WAL_BATCH_N = 100
 SMOKE_WAL_BATCHES = 4
@@ -98,6 +114,49 @@ def measure_reopen(n: int) -> dict:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return record
+
+
+def measure_tail_reopen(base_n: int, batch_n: int, k: int) -> dict:
+    """Re-open a compacted ``base_n``-point index with a k-record tail."""
+    stream = clustered(base_n + k * batch_n, DIMS)
+    spec = JoinSpec(epsilon=EPSILON, delta_threshold=NO_COMPACT_THRESHOLD)
+    rng = np.random.default_rng(k)
+    workdir = tempfile.mkdtemp(prefix="e19-tail-")
+    path = os.path.join(workdir, "index")
+    try:
+        with IncrementalJoin.open(path, spec=spec) as session:
+            session.insert(stream[:base_n])
+            session.compact()
+            row = base_n
+            for index in range(k):
+                if index % 2 == 0:
+                    session.insert(stream[row : row + batch_n])
+                    row += batch_n
+                else:
+                    live = session.live_ids()
+                    session.delete(rng.choice(live, size=batch_n // 2, replace=False))
+            expected = session.current_pairs()
+        times = []
+        for _ in range(TAIL_REOPENS):
+            started = time.perf_counter()
+            with IncrementalJoin.open(path) as reopened:
+                times.append(time.perf_counter() - started)
+                stats = reopened.stats
+        if stats.wal_records_replayed != k:
+            raise AssertionError(
+                f"re-open replayed {stats.wal_records_replayed} records, expected {k}"
+            )
+        if reopened.current_pairs().tobytes() != expected.tobytes():
+            raise AssertionError("re-opened session's pairs differ from the writer's")
+        return {
+            "base_n": base_n,
+            "batch_n": batch_n,
+            "tail_records": k,
+            "reopen_seconds": float(np.median(times)),
+            "distance_computations": stats.distance_computations,
+        }
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def measure_wal_overhead(base_n: int, batch_n: int, n_batches: int) -> list:
@@ -157,10 +216,18 @@ def test_e19_cold_reopen(benchmark, n):
 
 
 def sweep(reopen_sweep=None, wal_base_n=WAL_BASE_N, wal_batch_n=WAL_BATCH_N,
-          wal_batches=WAL_BATCHES):
+          wal_batches=WAL_BATCHES, tail_base_n=TAIL_BASE_N,
+          tail_batch_n=TAIL_BATCH_N):
     reopen_sweep = reopen_sweep or REOPEN_SWEEP
     reopen_series = [measure_reopen(n) for n in reopen_sweep]
     wal_series = measure_wal_overhead(wal_base_n, wal_batch_n, wal_batches)
+    tail_series = [
+        measure_tail_reopen(tail_base_n, tail_batch_n, k) for k in TAIL_SWEEP
+    ]
+    no_tail = tail_series[0]["reopen_seconds"]
+    for row in tail_series:
+        k = row["tail_records"]
+        row["seconds_per_record"] = (row["reopen_seconds"] - no_tail) / k if k else 0.0
 
     record = {
         "experiment": "e19_persistence",
@@ -171,6 +238,7 @@ def sweep(reopen_sweep=None, wal_base_n=WAL_BASE_N, wal_batch_n=WAL_BATCH_N,
         "wal_batch_n": wal_batch_n,
         "wal_batches": wal_batches,
         "wal_series": wal_series,
+        "tail_series": tail_series,
     }
 
     reopen_table = Table(
@@ -200,7 +268,21 @@ def sweep(reopen_sweep=None, wal_base_n=WAL_BASE_N, wal_batch_n=WAL_BATCH_N,
             format_seconds(row["seconds_per_batch"]),
             f"{row['overhead_vs_baseline']:.2f}x",
         )
-    return [reopen_table, wal_table], record
+
+    tail_table = Table(
+        f"E19c: re-open with a k-record journal tail (base={tail_base_n}, "
+        f"insert batches of {tail_batch_n} alternating with deletes of "
+        f"{tail_batch_n // 2})",
+        ["tail records", "re-open", "per record", "distance computations"],
+    )
+    for row in tail_series:
+        tail_table.add_row(
+            str(row["tail_records"]),
+            format_seconds(row["reopen_seconds"]),
+            format_seconds(row["seconds_per_record"]) if row["tail_records"] else "—",
+            str(row["distance_computations"]),
+        )
+    return [reopen_table, wal_table, tail_table], record
 
 
 def _default_out() -> str:
@@ -226,7 +308,8 @@ def main() -> int:
         choices=["smoke", "full"],
         default="full",
         help=f"smoke: re-open at n={SMOKE_REOPEN_SWEEP}, WAL stream of "
-        f"{SMOKE_WAL_BATCHES} batches of {SMOKE_WAL_BATCH_N} (for CI)",
+        f"{SMOKE_WAL_BATCHES} batches of {SMOKE_WAL_BATCH_N}, tails over "
+        f"a {SMOKE_TAIL_BASE_N}-point base (for CI)",
     )
     parser.add_argument("--out", help="results JSON path (default: results/)")
     args = parser.parse_args()
@@ -236,6 +319,8 @@ def main() -> int:
             SMOKE_WAL_BASE_N,
             SMOKE_WAL_BATCH_N,
             SMOKE_WAL_BATCHES,
+            SMOKE_TAIL_BASE_N,
+            SMOKE_TAIL_BATCH_N,
         )
     else:
         tables, record = sweep()

@@ -20,8 +20,10 @@ durability contract:
 3. the remaining updates apply cleanly on top, and the final pair set is
    byte-identical to an uninterrupted end-to-end run.
 
-The recovery is traced; span JSONL plus a summary JSON land in ``--out``
-so CI can archive them.
+The recovery is traced, and the script fails if the trace holds a
+``delta-join`` span: replay applies logged batches and runs no join.
+Span JSONL plus a summary JSON (with the replay time per WAL record)
+land in ``--out`` so CI can archive them.
 
 Usage::
 
@@ -196,6 +198,15 @@ def run_scenario(mode: str, out_dir: str) -> dict:
         names = {s["name"] for s in spans}
         if "recover" not in names:
             raise AssertionError(f"{mode}: no recover span traced: {names}")
+        # Replay applies each logged batch's state transition; the pairs
+        # were reported when the batch was first applied, so no join
+        # (and no delta-join span) may run while recovering.
+        if "delta-join" in names:
+            raise AssertionError(
+                f"{mode}: recovery replayed {stats.wal_records_replayed} "
+                "WAL records through a join (delta-join span traced)"
+            )
+        replay_seconds = sum(s["duration"] for s in spans if s["name"] == "replay")
         write_jsonl(spans, os.path.join(out_dir, f"recover_{mode}.jsonl"))
         return {
             "mode": mode,
@@ -208,6 +219,12 @@ def run_scenario(mode: str, out_dir: str) -> dict:
             "corrupt_frames_discarded": stats.corrupt_frames_discarded,
             "snapshot_bytes": stats.snapshot_bytes,
             "reopen_seconds": reopen_seconds,
+            "replay_seconds": replay_seconds,
+            "replay_seconds_per_record": (
+                replay_seconds / stats.wal_records_replayed
+                if stats.wal_records_replayed
+                else None
+            ),
             "recover_spans": int(len(spans)),
         }
     finally:

@@ -342,7 +342,9 @@ class IncrementalJoin:
         *recovered*: the newest snapshot that passes its magic, length
         and checksum validation is memmapped back (falling back across
         generations when a file is damaged), the write-ahead log's
-        durable prefix is replayed on top, and any torn or corrupted
+        durable prefix is replayed on top — each logged batch's state
+        transition is applied, and no join runs, since its pairs were
+        reported when it was first applied — and any torn or corrupted
         suffix is discarded — counted in
         ``stats.corrupt_frames_discarded``.  A ``spec`` passed alongside
         an existing session must match the persisted structural
@@ -435,7 +437,7 @@ class IncrementalJoin:
             # newer, unrecoverable snapshot — everything from the gap on
             # is discarded.
             wal_path = os.path.join(path, WAL_FILENAME)
-            records, _, wal_discarded = scan_wal(wal_path)
+            records, valid_bytes, wal_discarded = scan_wal(wal_path)
             discarded += wal_discarded
             replayable = []
             expected = int(meta["wal_seq"]) + 1
@@ -447,26 +449,43 @@ class IncrementalJoin:
                     break
                 replayable.append(rec)
                 expected += 1
-            # Rewrite the journal to exactly the prefix being replayed,
-            # with fault hooks disabled (these records already survived
-            # their own append faults).
+            # Keep an intact journal as it is.  Rewrite it only when
+            # records that must not be replayed again sit inside it
+            # (stale ones at or below the watermark, or everything after
+            # a gap) or its header is gone; otherwise cut a damaged
+            # suffix off at the durable prefix.  The rewrite runs with
+            # fault hooks disabled: these records already survived their
+            # own append faults.
             wal = WriteAheadLog(wal_path, sync_mode=run_sync, fault_plan=None)
-            wal.reset()
-            for rec in replayable:
-                if rec.op == OP_INSERT:
-                    wal.append(encode_insert(rec.seq, rec.points), rec.seq)
-                else:
-                    wal.append(encode_delete(rec.seq, rec.ids), rec.seq)
+            if len(replayable) != len(records) or (wal_discarded and not records):
+                wal.reset()
+                for rec in replayable:
+                    if rec.op == OP_INSERT:
+                        wal.append(encode_insert(rec.seq, rec.points), rec.seq)
+                    else:
+                        wal.append(encode_delete(rec.seq, rec.ids), rec.seq)
+            elif wal_discarded:
+                wal.truncate_to(valid_bytes)
             wal.sync()
             wal.fault_plan = fault_plan
             session._wal = wal
+            # Replay applies each logged batch's state transition and
+            # nothing else: the pairs a batch created or retracted were
+            # reported when it was first applied, so recovery runs no
+            # join.  Compaction still fires at the same record as it did
+            # for the writer, but ``_replaying`` keeps it from publishing.
             session._replaying = True
             try:
-                for rec in replayable:
-                    if rec.op == OP_INSERT:
-                        session.insert(rec.points)
-                    else:
-                        session.delete(rec.ids)
+                with trace.span("replay", records=len(replayable)):
+                    for rec in replayable:
+                        if rec.op == OP_INSERT:
+                            session._apply_insert(rec.points)
+                        elif len(rec.ids):
+                            session._apply_delete(*session._live_rows(rec.ids))
+                        else:
+                            # A log written before empty deletes became
+                            # no-ops holds one; it still consumes its seq.
+                            session._update_seq += 1
             finally:
                 session._replaying = False
             session.stats.wal_records_replayed += len(replayable)
@@ -663,16 +682,45 @@ class IncrementalJoin:
         :class:`~repro.errors.AdmissionError`, likewise before any
         journaling (counted in ``stats.batches_rejected``).
         """
+        points = self._admit_insert(points)
+        ids = np.arange(self._next_id, self._next_id + len(points), dtype=np.int64)
+        added = self._insert_pairs(points, ids)
+        self.stats.pairs_emitted += len(added)
+        self._apply_insert(points)
+        return UpdateDelta(ids=ids, added=added)
+
+    def delete(self, ids: Union[Sequence[int], np.ndarray]) -> UpdateDelta:
+        """Remove points by id; return the pairs that retracts.
+
+        An empty batch is a no-op and journals nothing.
+        """
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        if not len(ids):
+            return UpdateDelta()
+        base_rows, delta_rows = self._live_rows(ids)
+        if self._wal is not None:
+            # Journal only after the whole batch validated: a rejected
+            # delete leaves no trace in the log, so replay can apply
+            # every journaled record unconditionally.
+            self._wal.append_delete(self._update_seq + 1, ids)
+        # Tombstone first so the probes below only see survivors.
+        removed_points, removed_ids = self._apply_delete(base_rows, delta_rows)
+        retracted = self._delete_pairs(removed_points, removed_ids)
+        self.stats.pairs_retracted += len(retracted)
+        return UpdateDelta(ids=np.sort(ids), retracted=retracted)
+
+    # An update runs in three steps: admit and journal the batch, compute
+    # the pairs it creates or retracts (the three sub-joins), and apply
+    # its state transition.  Recovery replays a logged batch through the
+    # last step alone.
+    def _admit_insert(self, points: np.ndarray) -> np.ndarray:
+        """Validate an insert batch, run admission control, journal it."""
         points = validate_points(points, "insert batch")
-        if self._dims is None:
-            dims = points.shape[1]
-        elif points.shape[1] != self._dims:
+        if self._dims is not None and points.shape[1] != self._dims:
             raise InvalidParameterError(
                 f"session holds {self._dims}-dimensional points, "
                 f"got a batch with {points.shape[1]}"
             )
-        else:
-            dims = self._dims
         if self._sketch is None or self._dims is None:
             # Created ahead of the admission probe; before the first
             # successful insert the session is empty, so a fresh sketch
@@ -681,12 +729,11 @@ class IncrementalJoin:
                 self.spec.band_width, bits=self.spec.sketch_bits
             )
         threshold = self.spec.admission_threshold
-        if threshold is not None and not self._replaying and len(points):
+        if threshold is not None and len(points):
             # Admission probe: add -> estimate -> remove is exact on the
             # sketch's integer counters, so a refused batch leaves the
             # sketch — and, because nothing is journaled yet, the whole
-            # session — untouched.  Replayed WAL records skip the check:
-            # they were admitted when first applied.
+            # session — untouched.
             self._sketch.add(points)
             predicted = self._sketch.estimate()
             self._sketch.remove(points)
@@ -697,18 +744,16 @@ class IncrementalJoin:
                     f"sketch-predicted join size {predicted:.0f} exceeds "
                     f"the admission threshold {threshold:.0f}"
                 )
-        seq = self._update_seq + 1
-        if self._wal is not None and not self._replaying:
+        if self._wal is not None:
             # Journal first: once the append returns, the batch is the
             # log's problem — a crash anywhere after this point replays
             # it on recovery.
-            self._wal.append_insert(seq, points)
-        if self._dims is None:
-            self._dims = dims
-            self._base_points = np.empty((0, self._dims), dtype=np.float64)
-            self._delta_points = np.empty((0, self._dims), dtype=np.float64)
+            self._wal.append_insert(self._update_seq + 1, points)
+        return points
+
+    def _insert_pairs(self, points: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Pairs an insert batch creates, before the batch is applied."""
         n_new = len(points)
-        ids = np.arange(self._next_id, self._next_id + n_new, dtype=np.int64)
         parts: List[np.ndarray] = []
         with trace.span(
             "delta-join",
@@ -748,37 +793,46 @@ class IncrementalJoin:
                     )
             added = self._combine(parts)
             span.set_attribute("pairs_added", len(added))
+        return added
+
+    def _apply_insert(self, points: np.ndarray) -> None:
+        """Append a journaled batch to the delta buffer under fresh ids.
+
+        Updates the sketch, the seq and the counters, and compacts when
+        the delta outgrows its threshold.
+        """
+        if self._dims is None:
+            self._dims = points.shape[1]
+            self._base_points = np.empty((0, self._dims), dtype=np.float64)
+            self._delta_points = np.empty((0, self._dims), dtype=np.float64)
+            self._sketch = JoinSizeSketch(
+                self.spec.band_width, bits=self.spec.sketch_bits
+            )
+        n_new = len(points)
         with trace.span("estimate", op="insert", points=n_new):
             if n_new:
                 self._sketch.add(points)
             self.stats.estimated_join_size = self._sketch.estimate()
         self._delta_points = np.concatenate([self._delta_points, points])
-        self._delta_ids = np.concatenate([self._delta_ids, ids])
+        self._delta_ids = np.concatenate(
+            [
+                self._delta_ids,
+                np.arange(self._next_id, self._next_id + n_new, dtype=np.int64),
+            ]
+        )
         self._delta_alive = np.concatenate(
             [self._delta_alive, np.ones(n_new, dtype=bool)]
         )
         self._next_id += n_new
-        self._update_seq = seq
+        self._update_seq += 1
         self.stats.updates_applied += 1
-        self.stats.pairs_emitted += len(added)
         threshold = self.spec.resolved_delta_threshold(len(self._base_points))
         if self.delta_size > threshold:
             self.compact()
         self.stats.delta_size = self.delta_size
-        return UpdateDelta(ids=ids, added=added)
 
-    def delete(self, ids: Union[Sequence[int], np.ndarray]) -> UpdateDelta:
-        """Remove points by id; return the pairs that retracts.
-
-        An empty batch is a no-op and journals nothing (a replayed empty
-        record, from a log written before this rule, still consumes its
-        sequence number).
-        """
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        if not len(ids):
-            if self._replaying:
-                self._update_seq += 1
-            return UpdateDelta()
+    def _live_rows(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Validate a non-empty delete batch; return its (base, delta) rows."""
         if len(np.unique(ids)) != len(ids):
             raise InvalidParameterError("delete() ids contain duplicates")
         side, row = self._locate(ids)
@@ -791,28 +845,40 @@ class IncrementalJoin:
         if not alive.all():
             dead = ids[~alive][0]
             raise InvalidParameterError(f"point id {int(dead)} is already deleted")
-        seq = self._update_seq + 1
-        if self._wal is not None and not self._replaying:
-            # Journal only after the whole batch validated: a rejected
-            # delete leaves no trace in the log, so replay can apply
-            # every journaled record unconditionally.
-            self._wal.append_delete(seq, ids)
-        base_rows = row[side == 0]
-        delta_rows = row[side == 1]
+        return row[side == 0], row[side == 1]
+
+    def _apply_delete(
+        self, base_rows: np.ndarray, delta_rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Tombstone a journaled delete; return the removed (points, ids).
+
+        Updates the sketch, the seq and the counters.
+        """
         removed_points = np.concatenate(
             [self._base_points[base_rows], self._delta_points[delta_rows]]
         )
         removed_ids = np.concatenate(
             [self._base_ids[base_rows], self._delta_ids[delta_rows]]
         )
-        # Tombstone first so the probes below only see survivors.
         self._base_alive[base_rows] = False
         self._delta_alive[delta_rows] = False
+        with trace.span("estimate", op="delete", points=len(removed_ids)):
+            self._sketch.remove(removed_points)
+            self.stats.estimated_join_size = self._sketch.estimate()
+        self._update_seq += 1
+        self.stats.updates_applied += 1
+        self.stats.delta_size = self.delta_size
+        return removed_points, removed_ids
+
+    def _delete_pairs(
+        self, removed_points: np.ndarray, removed_ids: np.ndarray
+    ) -> np.ndarray:
+        """Pairs a delete retracts, once its rows are tombstoned."""
         parts: List[np.ndarray] = []
         with trace.span(
             "delta-join",
             op="delete",
-            batch=len(ids),
+            batch=len(removed_ids),
             delta=self.delta_size,
             base=int(self._base_alive.sum()),
         ) as span:
@@ -848,14 +914,7 @@ class IncrementalJoin:
                 )
             retracted = self._combine(parts)
             span.set_attribute("pairs_retracted", len(retracted))
-        with trace.span("estimate", op="delete", points=len(ids)):
-            self._sketch.remove(removed_points)
-            self.stats.estimated_join_size = self._sketch.estimate()
-        self._update_seq = seq
-        self.stats.updates_applied += 1
-        self.stats.pairs_retracted += len(retracted)
-        self.stats.delta_size = self.delta_size
-        return UpdateDelta(ids=np.sort(ids), retracted=retracted)
+        return retracted
 
     def compact(self) -> None:
         """Merge live rows into a fresh base tree (atomic on failure).
@@ -910,7 +969,8 @@ class IncrementalJoin:
             # Publish-then-reset: a crash after the publish but before
             # the reset leaves stale low-seq WAL records, which recovery
             # skips because their seq is at or below the snapshot's
-            # durable watermark.
+            # durable watermark.  A compaction during replay publishes
+            # nothing: the records it folds in are still in the journal.
             self._publish_snapshot()
             if self._wal is not None:
                 self._wal.reset()

@@ -81,6 +81,9 @@ class JoinStats:
             keeps the maximum observed).
         wal_records_replayed: write-ahead-log records a persisted
             session re-applied while recovering (0 for a clean open).
+            Replay applies state and runs no join, so after recovery
+            ``pairs_emitted``, ``pairs_retracted`` and the kernel
+            counters count only post-recovery updates.
         snapshot_bytes: size of the largest snapshot this session
             published or recovered from (a gauge: ``merge`` keeps the
             maximum observed).

@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -651,6 +651,247 @@ class TestCorruptionRecovery:
         assert recovered.current_pairs().tobytes() == oracle.current_pairs().tobytes()
         assert recovered.stats.corrupt_frames_discarded >= 1
         recovered.close()
+
+
+# ----------------------------------------------------------------------
+# probe-free replay
+# ----------------------------------------------------------------------
+def assert_same_state(got: IncrementalJoin, want: IncrementalJoin) -> None:
+    """Array-for-array equality of two sessions' durable state."""
+    for name in (
+        "_base_points",
+        "_base_ids",
+        "_base_alive",
+        "_delta_points",
+        "_delta_ids",
+        "_delta_alive",
+    ):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    assert got._dims == want._dims
+    assert got._next_id == want._next_id
+    assert got.last_update_seq == want.last_update_seq
+    if want._sketch is None:
+        assert got._sketch is None or got._sketch.n == 0
+    else:
+        assert np.array_equal(got._sketch.counts, want._sketch.counts)
+        assert got._sketch.n == want._sketch.n
+        assert got._sketch._same_bucket_pairs == want._sketch._same_bucket_pairs
+    tree_a, tree_b = got._base_tree, want._base_tree
+    assert (tree_a is None) == (tree_b is None)
+    if tree_b is not None:
+        for name in ("points_flat", "perm", "digits"):
+            assert np.array_equal(getattr(tree_a, name), getattr(tree_b, name)), name
+        assert np.array_equal(tree_a.packed_nodes(), tree_b.packed_nodes())
+        for name in ("lo", "hi", "n_cells"):
+            assert np.array_equal(getattr(tree_a.grid, name), getattr(tree_b.grid, name))
+        assert tree_a.grid.eps == tree_b.grid.eps
+
+
+def _traced_open(path, **kwargs):
+    tracer = trace.Tracer()
+    with trace.activate(tracer):
+        session = IncrementalJoin.open(path, **kwargs)
+    return session, [span.name for span in tracer.finished_spans()]
+
+
+class TestProbeFreeReplay:
+    def test_replay_runs_no_join(self, tmp_path):
+        path = _session_dir(tmp_path)
+        rng = np.random.default_rng(21)
+        spec = JoinSpec(epsilon=0.3, persist_path=path, delta_threshold=10_000)
+        writer = IncrementalJoin(spec)
+        tail = [
+            ("insert", rng.random((40, 3))),
+            ("insert", rng.random((40, 3))),
+            ("delete", [3, 41, 17]),
+            ("insert", rng.random((40, 3))),
+            ("delete", [0, 100]),
+        ]
+        for op, payload in tail:
+            if op == "insert":
+                writer.insert(payload)
+            else:
+                writer.delete(payload)
+        assert writer.stats.pairs_emitted > 0 and writer.stats.pairs_retracted > 0
+        expected = writer.current_pairs()
+        writer.close()
+
+        reopened, names = _traced_open(path)
+        assert reopened.stats.wal_records_replayed == len(tail)
+        assert reopened.stats.distance_computations == 0
+        assert reopened.stats.pairs_emitted == 0
+        assert reopened.stats.pairs_retracted == 0
+        assert reopened.stats.compactions == 0
+        assert "recover" in names and "delta-join" not in names, names
+        assert_same_state(reopened, writer)
+        assert_same_pairs(reopened.current_pairs(), expected, "probe-free replay")
+        # The next live update reports its pairs as usual.
+        delta = reopened.delete([5])
+        assert reopened.stats.pairs_retracted == len(delta.retracted)
+        reopened.close()
+
+    def test_replay_compacts_at_the_writers_record(self, tmp_path):
+        """A tail that crosses the delta threshold compacts mid-replay at
+        the same record the writer compacted at, and publishes nothing.
+        Such a tail is left behind when the compaction's publish failed."""
+        path = _session_dir(tmp_path)
+        rng = np.random.default_rng(22)
+        spec = JoinSpec(epsilon=0.25, persist_path=path, delta_threshold=60)
+        writer = IncrementalJoin(
+            spec, fault_plan=FaultPlan().crash_before_snapshot_publish(1)
+        )
+        writer.insert(rng.random((25, 3)))
+        writer.insert(rng.random((25, 3)))
+        writer.delete([4, 30])
+        with pytest.raises(SessionCrashError):
+            writer.insert(rng.random((25, 3)))  # compacts; publish dies
+        assert writer.stats.compactions == 1
+        writer.insert(rng.random((25, 3)))
+        writer.delete([7, 80])
+        writer.close()
+        snapshots = list_snapshots(path)
+        assert [seq for seq, _ in snapshots] == [0]
+
+        reopened, names = _traced_open(path)
+        assert reopened.stats.wal_records_replayed == 6
+        assert reopened.stats.compactions == 1
+        assert reopened.stats.distance_computations == 0
+        assert "delta-join" not in names and "compact" in names, names
+        assert list_snapshots(path) == snapshots
+        assert_same_state(reopened, writer)
+        reopened.close()
+
+    def test_intact_journal_is_not_rewritten(self, tmp_path, monkeypatch):
+        path = _session_dir(tmp_path)
+        rng = np.random.default_rng(23)
+        spec = JoinSpec(epsilon=0.3, persist_path=path, delta_threshold=10_000)
+        writer = IncrementalJoin(spec)
+        writer.insert(rng.random((20, 3)))
+        writer.delete([1, 2])
+        writer.close()
+        wal_path = os.path.join(path, WAL_FILENAME)
+        with open(wal_path, "rb") as handle:
+            before = handle.read()
+        calls = []
+        monkeypatch.setattr(
+            WriteAheadLog, "reset", lambda self: calls.append("reset")
+        )
+        monkeypatch.setattr(
+            WriteAheadLog,
+            "truncate_to",
+            lambda self, valid_bytes: calls.append(("truncate", valid_bytes)),
+        )
+        reopened = IncrementalJoin.open(path)
+        reopened.close()
+        assert calls == []
+        with open(wal_path, "rb") as handle:
+            assert handle.read() == before
+
+    def test_torn_suffix_is_truncated_not_rewritten(self, tmp_path, monkeypatch):
+        path = _session_dir(tmp_path)
+        rng = np.random.default_rng(24)
+        spec = JoinSpec(epsilon=0.3, persist_path=path, delta_threshold=10_000)
+        writer = IncrementalJoin(spec, fault_plan=FaultPlan().tear_wal_frame(3))
+        writer.insert(rng.random((20, 3)))
+        writer.insert(rng.random((20, 3)))
+        with pytest.raises(SessionCrashError):
+            writer.insert(rng.random((20, 3)))
+        wal_path = os.path.join(path, WAL_FILENAME)
+        _, valid_bytes, _ = scan_wal(wal_path)
+        resets = []
+        monkeypatch.setattr(
+            WriteAheadLog, "reset", lambda self: resets.append(self.path)
+        )
+        reopened = IncrementalJoin.open(path)
+        assert resets == []
+        assert reopened.last_update_seq == 2
+        assert reopened.stats.corrupt_frames_discarded == 1
+        assert os.path.getsize(wal_path) == valid_bytes
+        reopened.close()
+
+    def test_stale_records_are_dropped_by_a_rewrite(self, tmp_path):
+        """A crash between a snapshot publish and the journal reset leaves
+        records at or below the watermark; open rewrites the journal
+        without them, so the next append follows the watermark."""
+        path = _session_dir(tmp_path)
+        rng = np.random.default_rng(25)
+        spec = JoinSpec(epsilon=0.3, persist_path=path, delta_threshold=10_000)
+        writer = IncrementalJoin(spec)
+        writer.insert(rng.random((20, 3)))
+        writer.insert(rng.random((20, 3)))
+        writer._publish_snapshot()  # the journal reset never happens
+        writer.close()
+        wal_path = os.path.join(path, WAL_FILENAME)
+        assert len(scan_wal(wal_path)[0]) == 2
+
+        reopened = IncrementalJoin.open(path)
+        assert reopened.stats.wal_records_replayed == 0
+        assert scan_wal(wal_path)[0] == []
+        reopened.insert(rng.random((5, 3)))
+        assert [rec.seq for rec in scan_wal(wal_path)[0]] == [3]
+        reopened.close()
+        again = IncrementalJoin.open(path)
+        assert_same_state(again, reopened)
+        again.close()
+
+
+_replay_op = st.one_of(
+    st.tuples(st.just("insert"), st.integers(1, 12)),
+    st.tuples(st.just("delete"), st.integers(1, 4)),
+    st.tuples(st.just("compact"), st.just(0)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(_replay_op, min_size=1, max_size=14),
+    seed=st.integers(0, 2**16),
+    fail_first_publish=st.booleans(),
+    engine=st.sampled_from(["serial", "parallel"]),
+)
+def test_recovery_restores_exact_state(ops, seed, fail_first_publish, engine):
+    """Whatever the stream, the reopened session's state equals the
+    writer's array for array (ids, layout, tombstones, sketch, tree)."""
+    rng = np.random.default_rng(seed)
+    tmp = tempfile.mkdtemp(prefix="ekdb-replay-state-")
+    try:
+        path = os.path.join(tmp, "session")
+        spec = JoinSpec(epsilon=0.2, persist_path=path, delta_threshold=15)
+        plan = FaultPlan()
+        if fail_first_publish:
+            # Leaves a tail that compacts during replay.
+            plan.crash_before_snapshot_publish(1)
+        writer = IncrementalJoin(
+            spec, engine=engine, fault_plan=plan, use_processes=False
+        )
+        for op, size in ops:
+            try:
+                if op == "insert":
+                    writer.insert(rng.random((size, 3)))
+                elif op == "delete":
+                    live = writer.live_ids()
+                    if len(live):
+                        pick = rng.choice(live, size=min(size, len(live)), replace=False)
+                        writer.delete(pick)
+                elif not fail_first_publish or writer._snapshot_seq >= 1:
+                    # An explicit compaction is not journaled, so one
+                    # whose publish dies cannot be recovered; only the
+                    # threshold-triggered ones meet the armed fault.
+                    writer.compact()
+            except SessionCrashError:
+                pass
+        reopened = IncrementalJoin.open(path, engine=engine, use_processes=False)
+        try:
+            assert reopened.stats.distance_computations == 0
+            assert reopened._executor is None  # no probe pool started
+            assert_same_state(reopened, writer)
+        finally:
+            reopened.close()
+            writer.close()
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------
