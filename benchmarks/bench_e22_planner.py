@@ -9,13 +9,16 @@ Two questions about the cost-based execution planner:
    replay, sketch rebuild)?  Target: >= 10x at 50k points, with
    byte-identical answers.
 
-2. **Planner regret**: over a matrix of (n, d, eps) workloads — plus
-   persisted variants — run *every* strategy, crown the measured best
-   (the oracle), and compare the planner's choice.  Regret is
-   ``measured(chosen) / measured(best)``; target <= 2x on every cell.
-   Every strategy's pairs are byte-compared against the serial oracle
-   while we are at it, so the regret table doubles as an equivalence
-   sweep.
+2. **Planner regret**: over a matrix of (n, d, eps) workloads, run
+   the serial, parallel and external engines, crown the measured best
+   (the oracle), and compare the planner's serial-vs-parallel choice.
+   Regret is ``measured(chosen) / measured(best)``; target <= 2x on
+   every cell.  Every engine's pairs are byte-compared against the
+   serial oracle while we are at it, so the regret table doubles as an
+   equivalence sweep.
+
+A persisted attach is not planned: it serves from the snapshot view
+whenever the snapshot is fresh, and part 1 measures that choice.
 
 Usage::
 
@@ -40,7 +43,9 @@ from repro.core.incremental import IncrementalJoin
 from repro.planner import CostProfile, set_active_profile
 from repro.storage import SnapshotView
 
-STRATEGIES = ("serial", "parallel", "external")
+#: Engines each regret cell runs; the planner picks between the first two.
+ENGINES = ("serial", "parallel", "external")
+PLANNED = ("serial", "parallel")
 
 #: (points, dims, epsilon) per regret cell; epsilon tracks d so every
 #: cell produces a non-trivial but bounded candidate load.
@@ -54,10 +59,7 @@ COLD_N = scale(50_000)
 COLD_DIMS = 48
 COLD_EPS = 0.05
 #: The cold metric is the *first* query after attach — open cost
-#: included, nothing amortized — so it is a single probe.  The
-#: persisted-regret cells use a bigger batch (COLD_QUERIES) because
-#: there the steady-state query rate matters too.
-COLD_QUERIES = 16
+#: included, nothing amortized — so it is a single probe.
 FIRST_QUERIES = 1
 COLD_REPEATS = 3
 
@@ -141,11 +143,11 @@ def measure_cold_first_query(n: int, dims: int, eps: float,
 
 
 def measure_regret_cell(n: int, dims: int, eps: float) -> dict:
-    """Part 2a: every in-memory strategy on one workload, vs the plan."""
+    """Part 2: every engine on one workload, vs the plan."""
     points = uniform(n, dims)
     measured = {}
     reference = None
-    for strategy in STRATEGIES:
+    for strategy in ENGINES:
         started = time.perf_counter()
         pairs = similarity_join(points, epsilon=eps, engine=strategy)
         measured[strategy] = time.perf_counter() - started
@@ -155,72 +157,18 @@ def measure_regret_cell(n: int, dims: int, eps: float) -> dict:
             raise AssertionError(
                 f"{strategy} pairs diverged at n={n} d={dims} eps={eps}"
             )
-    plan = plan_execution(JoinSpec(epsilon=eps), n, dims,
-                          strategies=STRATEGIES)
+    plan = plan_execution(JoinSpec(epsilon=eps), n, dims, strategies=PLANNED)
     best = min(measured, key=measured.get)
     return {
         "n": n,
         "dims": dims,
         "epsilon": eps,
-        "persisted": False,
         "chosen": plan.chosen,
         "predicted_seconds": plan.predicted_cost,
         "oracle": best,
         "measured": measured,
         "regret": measured[plan.chosen] / measured[best],
         "pairs": int(len(reference)),
-    }
-
-
-def measure_persisted_cell(n: int, dims: int, eps: float,
-                           n_queries: int = COLD_QUERIES) -> dict:
-    """Part 2b: persisted attach — snapshot-reuse vs rebuild regret."""
-    queries = uniform(n_queries, dims, seed=9)
-    base = tempfile.mkdtemp(prefix="e22_regret_")
-    try:
-        path = _persisted_dir(base, n, dims, eps)
-        snapshot_bytes = max(
-            os.path.getsize(os.path.join(path, name))
-            for name in os.listdir(path)
-            if name.endswith(".ekdb")
-        )
-
-        measured = {}
-        started = time.perf_counter()
-        view = SnapshotView.open(path)
-        view_answers = view.batch_range_query(queries)
-        measured["snapshot-reuse"] = time.perf_counter() - started
-        view.close()
-
-        started = time.perf_counter()
-        session = IncrementalJoin.open(path)
-        full_answers = session.batch_range_query(queries)
-        measured["serial"] = time.perf_counter() - started
-        session.close()
-
-        for got, want in zip(view_answers, full_answers):
-            if not np.array_equal(got, want):
-                raise AssertionError("view answers diverged from recovery")
-
-        plan = plan_execution(
-            JoinSpec(epsilon=eps), n, dims,
-            snapshot_bytes=snapshot_bytes,
-            strategies=("serial", "snapshot-reuse"),
-        )
-        best = min(measured, key=measured.get)
-    finally:
-        shutil.rmtree(base, ignore_errors=True)
-    return {
-        "n": n,
-        "dims": dims,
-        "epsilon": eps,
-        "persisted": True,
-        "chosen": plan.chosen,
-        "predicted_seconds": plan.predicted_cost,
-        "oracle": best,
-        "measured": measured,
-        "regret": measured[plan.chosen] / measured[best],
-        "pairs": sum(len(a) for a in view_answers),
     }
 
 
@@ -237,10 +185,6 @@ def sweep(matrix=None, cold_n: int = COLD_N):
     try:
         cold = measure_cold_first_query(cold_n, COLD_DIMS, COLD_EPS)
         cells = [measure_regret_cell(n, d, e) for n, d, e in (matrix or MATRIX)]
-        cells += [
-            measure_persisted_cell(n, d, e)
-            for n, d, e in (matrix or MATRIX)[-2:]
-        ]
     finally:
         set_active_profile(None)
 
@@ -259,15 +203,14 @@ def sweep(matrix=None, cold_n: int = COLD_N):
     )
 
     regret_table = Table(
-        "E22b — planner regret per (n, d, eps, persisted?) cell",
-        ["n", "d", "eps", "persisted", "chosen", "oracle", "regret"],
+        "E22b — planner regret per (n, d, eps) cell",
+        ["n", "d", "eps", "chosen", "oracle", "regret"],
     )
     for cell in cells:
         regret_table.add_row(
             str(cell["n"]),
             str(cell["dims"]),
             f"{cell['epsilon']:g}",
-            "yes" if cell["persisted"] else "no",
             cell["chosen"],
             cell["oracle"],
             f"{cell['regret']:.2f}x",

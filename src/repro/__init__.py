@@ -108,7 +108,6 @@ __version__ = "1.0.0"
 #: Algorithm registry used by :func:`similarity_join` and the CLI.
 _SELF_JOIN_ALGORITHMS = {
     "epsilon-kdb": epsilon_kdb_self_join,
-    "epsilon-kdb-parallel": parallel_self_join,
     "rtree": rtree_self_join,
     "rplus": rplus_self_join,
     "zorder": zorder_self_join,
@@ -119,7 +118,6 @@ _SELF_JOIN_ALGORITHMS = {
 
 _TWO_SET_ALGORITHMS = {
     "epsilon-kdb": epsilon_kdb_join,
-    "epsilon-kdb-parallel": parallel_join,
     "rtree": rtree_join,
     "rplus": rplus_join,
     "zorder": zorder_join,
@@ -131,35 +129,32 @@ _TWO_SET_ALGORITHMS = {
 
 ALGORITHMS = tuple(_SELF_JOIN_ALGORITHMS)
 
-#: Strategies the facade planner scores for a batch join; delta-probe
-#: and snapshot-reuse only make sense against a live or persisted
-#: session, which the serve layer plans separately.
-_PLANNED_STRATEGIES = ("serial", "parallel", "external")
-
 
 def _run_planned_strategy(plan, points, points2, spec):
-    """Execute the strategy ``plan`` chose; every branch emits pairs
-    byte-identical to the serial epsilon-kdb join (the differential
-    suite proves it)."""
-    strategy = plan.chosen
-    if points2 is None:
-        if strategy == "parallel":
+    """Execute the strategy ``plan`` chose; both emit pairs
+    byte-identical to each other (the differential suite proves it)."""
+    if plan.chosen == "parallel":
+        if points2 is None:
             return parallel_self_join(points, spec)
-        if strategy == "external":
-            report = external_self_join(
-                points, spec, memory_points=max(2, len(points))
-            )
-            return JoinResult(stats=report.stats, pairs=report.pairs)
-        return epsilon_kdb_self_join(points, spec)
-    if strategy == "parallel":
         return parallel_join(points, points2, spec)
-    if strategy == "external":
+    if points2 is None:
+        return epsilon_kdb_self_join(points, spec)
+    return epsilon_kdb_join(points, points2, spec)
+
+
+def _run_external(points, points2, spec):
+    """The external-memory driver with every point in one memory load."""
+    if points2 is None:
+        report = external_self_join(
+            points, spec, memory_points=max(2, len(points))
+        )
+    else:
         report = external_join(
             points, points2, spec,
             memory_points=max(2, len(points) + len(points2)),
         )
-        return JoinResult(stats=report.stats, pairs=report.pairs)
-    return epsilon_kdb_join(points, points2, spec)
+    report.stats.planned_strategy = "external"
+    return JoinResult(stats=report.stats, pairs=report.pairs)
 
 
 def similarity_join(
@@ -170,7 +165,6 @@ def similarity_join(
     metric: Union[str, float, Metric] = "l2",
     algorithm: str = "epsilon-kdb",
     leaf_size: int = 128,
-    parallel: bool = False,
     n_workers: Optional[int] = None,
     task_timeout: Optional[float] = None,
     max_task_retries: Optional[int] = None,
@@ -198,18 +192,14 @@ def similarity_join(
         metric: ``"l1"``, ``"l2"``, ``"linf"``, a Minkowski order, or a
             :class:`~repro.metrics.Metric` instance.
         algorithm: one of ``"epsilon-kdb"`` (the paper's contribution,
-            default), ``"epsilon-kdb-parallel"`` (its multi-core
-            stripe-partitioned executor), ``"rplus"`` (the paper's
-            R+-tree baseline), ``"rtree"``, ``"zorder"``,
+            default; ``engine`` picks how it runs), ``"rplus"`` (the
+            paper's R+-tree baseline), ``"rtree"``, ``"zorder"``,
             ``"sort-merge"``, ``"grid"``, ``"brute-force"``.
         leaf_size: epsilon-kdB leaf split threshold (ignored by the
             baselines).
-        parallel: shorthand for ``algorithm="epsilon-kdb-parallel"``;
-            only valid with the default algorithm.  Output is identical
-            to the serial join.
         n_workers: worker-process count for the parallel executor
-            (``None``: all cores; ``1``: serial path).  Implies
-            ``parallel`` when set.
+            (``None``: all cores; ``1``: serial path).  Setting it
+            means ``engine="parallel"``.
         task_timeout: per-stripe-task deadline in seconds for the
             parallel executor; timed-out attempts are retried (and
             counted in ``stats.tasks_timed_out``).  ``None`` disables
@@ -224,19 +214,20 @@ def similarity_join(
         filter_dims: number of single-dimension pre-filter stages the
             cascade runs before the blocked distance reduction
             (``None``: scale with dimensionality).
-        engine: which execution strategy runs the ``epsilon-kdb``
-            algorithm: ``"auto"`` (default) asks the cost-based planner
-            (:mod:`repro.planner`) to score serial, parallel and
-            external execution against the host's calibrated
+        engine: the only way to choose how the ``epsilon-kdb``
+            algorithm runs: ``"auto"`` (default) asks the cost-based
+            planner (:mod:`repro.planner`) to score serial against
+            parallel execution with the host's calibrated
             :class:`~repro.planner.CostProfile` and run the
-            predicted-cheapest; a pinned value runs that
+            predicted-cheaper; ``"serial"`` or ``"parallel"`` runs that
             strategy directly (the plan is still computed and recorded
-            for the mispredict metrics).  Every strategy emits
-            byte-identical pairs; ``result.stats.planned_strategy`` /
-            ``predicted_cost`` / ``plan_seconds`` and ``result.plan``
-            record the decision.  Only meaningful with the default
-            algorithm; update/persisted sessions accept ``"serial"`` or
-            ``"parallel"``.
+            for the mispredict metrics); ``"external"`` runs the
+            external-memory driver, unplanned (``result.plan`` is
+            ``None``).  Every strategy emits byte-identical pairs;
+            ``result.stats.planned_strategy`` / ``predicted_cost`` /
+            ``plan_seconds`` and ``result.plan`` record the decision.
+            Only meaningful with the default algorithm; update/persisted
+            sessions accept ``"serial"`` or ``"parallel"``.
         updates: optional sequence of ``("insert", points)`` /
             ``("delete", ids)`` operations (or the equivalent ``{"op":
             ...}`` mappings) applied *after* ``points`` through an
@@ -276,20 +267,13 @@ def similarity_join(
         ``(m, 2)`` int64 array of qualifying index pairs, or a
         :class:`~repro.core.result.JoinResult` when ``return_result``.
     """
-    if parallel or n_workers is not None:
-        if algorithm not in ("epsilon-kdb", "epsilon-kdb-parallel"):
-            raise InvalidParameterError(
-                "parallel execution is only available for the epsilon-kdb "
-                f"algorithm, not {algorithm!r}"
-            )
+    if n_workers is not None:
         if engine not in ("auto", "parallel"):
             raise InvalidParameterError(
-                f"parallel=True/n_workers conflicts with engine={engine!r}"
+                f"n_workers conflicts with engine={engine!r}"
             )
-        algorithm = "epsilon-kdb-parallel"
-    if engine != "auto" and algorithm not in (
-        "epsilon-kdb", "epsilon-kdb-parallel"
-    ):
+        engine = "parallel"
+    if engine != "auto" and algorithm != "epsilon-kdb":
         raise InvalidParameterError(
             "engine selection only applies to the epsilon-kdb algorithm, "
             f"not {algorithm!r}"
@@ -324,21 +308,17 @@ def similarity_join(
                 "update/persisted sessions are only supported for "
                 "self-joins, not two-set joins"
             )
-        if algorithm not in ("epsilon-kdb", "epsilon-kdb-parallel"):
+        if algorithm != "epsilon-kdb":
             raise InvalidParameterError(
                 "update/persisted sessions are only supported by the "
-                f"epsilon-kdb algorithms, not {algorithm!r}"
+                f"epsilon-kdb algorithm, not {algorithm!r}"
             )
         if engine not in ("auto", "serial", "parallel"):
             raise InvalidParameterError(
                 "update/persisted sessions execute serially or in "
                 f"parallel, not engine={engine!r}"
             )
-        session_engine = (
-            "parallel"
-            if algorithm == "epsilon-kdb-parallel" or engine == "parallel"
-            else "serial"
-        )
+        session_engine = "parallel" if engine == "parallel" else "serial"
         stream = list(updates) if updates is not None else []
         points = np.asarray(points, dtype=np.float64)
         if len(points):
@@ -385,6 +365,9 @@ def similarity_join(
             if points2 is not None
             else None
         )
+        if engine == "external":
+            result = _run_external(pts, pts2, spec)
+            return result if return_result else result.pairs
         plannable = pts.ndim == 2 and (pts2 is None or pts2.ndim == 2)
         if plannable:
             plan = plan_execution(
@@ -392,7 +375,6 @@ def similarity_join(
                 len(pts),
                 pts.shape[1],
                 n2=len(pts2) if pts2 is not None else None,
-                strategies=_PLANNED_STRATEGIES,
                 forced=None if engine == "auto" else engine,
             )
             with trace.span(

@@ -493,9 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--explain",
         action="store_true",
-        help="with --path: print the attach plan (memmapped snapshot "
-        "view vs full recovery) for the persisted directory and exit "
-        "without connecting to any server",
+        help="with --path: print whether an attach of the persisted "
+        "directory would serve from the memmapped snapshot view or "
+        "recover the full session, and why, then exit without "
+        "connecting to any server",
     )
 
     calibrate = subparsers.add_parser(
@@ -636,6 +637,9 @@ def _run_join(args: argparse.Namespace) -> int:
                 "--explain plans the epsilon-kdb strategies; "
                 f"--algorithm {args.algorithm} has nothing to plan"
             )
+        if engine == "external":
+            print("chosen: external (forced; the external driver is unplanned)")
+            return 0
         from repro import plan_execution
 
         plan = plan_execution(
@@ -643,7 +647,10 @@ def _run_join(args: argparse.Namespace) -> int:
             len(points),
             int(points.shape[1]),
             n_workers=workers,
-            forced=None if engine == "auto" else engine,
+            forced=(
+                engine if engine != "auto"
+                else "parallel" if workers is not None else None
+            ),
         )
         plan.format_table().print()
         print(
@@ -970,15 +977,13 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _explain_attach(path: str) -> int:
-    """Offline ``query --explain``: plan the attach for a persisted dir.
+    """Offline ``query --explain``: say how a serve attach would open a dir.
 
     Opens the newest snapshot as a read-only memmapped view (no server,
-    no materialization) and prints the planner's choice between serving
-    queries straight off it (``snapshot-reuse``) and a full recovery
-    (``serial``).  A stale or damaged snapshot reports that recovery is
-    required instead of failing.
+    no materialization).  A fresh snapshot means the attach serves
+    queries straight off it; a stale or damaged one means the attach
+    recovers the full session instead, and the reason is printed.
     """
-    from repro import plan_execution
     from repro.errors import StorageError
     from repro.storage import SnapshotView
 
@@ -986,24 +991,18 @@ def _explain_attach(path: str) -> int:
         view = SnapshotView.open(path)
     except StorageError as exc:
         print(f"{path}: snapshot view unavailable ({exc})")
-        print("attach would recover the session (WAL replay) instead")
+        print("attach: recover — the full session is recovered instead")
         return 0
     try:
-        plan = plan_execution(
-            view.spec,
-            view.n_live,
-            view.dims or 1,
-            snapshot_bytes=view.snapshot_bytes,
-            strategies=("serial", "snapshot-reuse"),
+        print(
+            f"{path}: snapshot {view.path} is fresh "
+            f"({view.n_live} live points, d={view.dims}, "
+            f"seq {view.last_update_seq}, {view.snapshot_bytes} bytes)"
         )
-        plan.format_table().print()
-        verdict = (
-            "attach serves queries off the memmapped snapshot "
-            "(zero materialization)"
-            if plan.chosen == "snapshot-reuse"
-            else "attach recovers the full session"
+        print(
+            "attach: view — queries run off the memmapped snapshot "
+            "(zero materialization) until the first mutation"
         )
-        print(f"chosen: {plan.chosen} — {verdict}")
     finally:
         view.close()
     return 0
@@ -1117,10 +1116,6 @@ def _run_calibrate(args: argparse.Namespace) -> int:
             value = time.strftime(
                 "%Y-%m-%d %H:%M:%S", time.localtime(value)
             ) if value else "never"
-        elif name == "tile_rows":
-            value = format_si(int(value))
-        elif name.endswith("_factor"):
-            value = f"{value:.2f}x"  # dimensionless multiplier
         elif isinstance(value, float):
             # The per-unit constants live in the nano/microsecond range;
             # scientific notation keeps them distinguishable.

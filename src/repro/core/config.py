@@ -120,11 +120,12 @@ class JoinSpec:
             differ across re-opens of the same session.
         engine: which execution strategy runs the join: ``"auto"``
             (default — the cost-based planner in :mod:`repro.planner`
-            scores every viable strategy against the calibrated host
-            profile and picks the cheapest), or a pinned ``"serial"``,
-            ``"parallel"`` or ``"external"``.  Every strategy emits
-            byte-identical pairs, so this is a pure runtime knob
-            excluded from the structural fingerprint.
+            scores serial against parallel with the calibrated host
+            profile and picks the cheaper), or a pinned ``"serial"``,
+            ``"parallel"`` or ``"external"`` (the last runs
+            unplanned).  Every strategy emits byte-identical pairs, so
+            this is a pure runtime knob excluded from the structural
+            fingerprint.
     """
 
     epsilon: float

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from repro.core.epsilon_kdb import Grid, TreeDescription
 from repro.errors import InvalidParameterError
 from repro.obs import trace
 
-__all__ = ["FlatEpsilonKdbTree"]
+__all__ = ["FlatEpsilonKdbTree", "live_batch_range_query"]
 
 # Guard for packing (node id, digit) into one int64 radix key; above this
 # the build falls back to a two-key lexsort instead of overflowing.
@@ -606,3 +606,130 @@ class FlatEpsilonKdbTree:
             f"<FlatEpsilonKdbTree points={len(self.perm)} nodes={self.n_nodes} "
             f"leaves={self.n_leaves}>"
         )
+
+
+def live_batch_range_query(
+    queries: np.ndarray,
+    eps: Optional[float],
+    *,
+    spec: JoinSpec,
+    dims: Optional[int],
+    tree: Optional[FlatEpsilonKdbTree],
+    base_points: Callable[[], np.ndarray],
+    base_ids: np.ndarray,
+    base_alive: np.ndarray,
+    delta_points: np.ndarray,
+    delta_ids: np.ndarray,
+    delta_alive: np.ndarray,
+    owner: str = "session",
+) -> List[np.ndarray]:
+    """Ids of live points within ``eps`` of each query row.
+
+    The range query of a session split into a base set indexed by
+    ``tree`` (rows aligned with ``base_ids``/``base_alive``) and an
+    unindexed delta buffer, shared by
+    :meth:`~repro.core.incremental.IncrementalJoin.batch_range_query`
+    and :meth:`~repro.storage.view.SnapshotView.batch_range_query`: one
+    leaf-directed tree pass for the queries inside the grid box, a
+    blocked brute scan of the base for those outside it and of the
+    delta buffer for all, tombstoned rows filtered out.  Returns one
+    ascending int64 id array per query.
+
+    ``base_points`` returns the base points in ``base_ids`` order; it is
+    called only when a query leaves the grid box and some base row is
+    live, so a caller may build it lazily.  ``eps`` defaults to
+    ``spec.epsilon`` and may not exceed it (the tree's cells are sized
+    for the spec); ``owner`` names the caller in error messages.
+    """
+    queries = validate_points(queries, "queries")
+    if eps is None:
+        eps = spec.epsilon
+    eps = float(eps)
+    if not np.isfinite(eps) or eps <= 0:
+        raise InvalidParameterError(
+            f"query radius must be a positive finite number, got {eps!r}"
+        )
+    if eps > spec.epsilon:
+        raise InvalidParameterError(
+            f"query radius {eps} exceeds the {owner} epsilon {spec.epsilon}"
+        )
+    n_q = len(queries)
+    if dims is None:
+        return [np.empty(0, dtype=np.int64) for _ in range(n_q)]
+    if queries.shape[1] != dims:
+        raise InvalidParameterError(
+            f"{owner} holds {dims}-dimensional points, "
+            f"got queries with {queries.shape[1]}"
+        )
+    parts: List[List[np.ndarray]] = [[] for _ in range(n_q)]
+    all_rows = np.arange(n_q, dtype=np.int64)
+    out_rows = all_rows
+    if tree is not None:
+        grid = tree.grid
+        # The tree pass is only sound for queries inside the grid box
+        # (cell_of clips); out-of-box queries scan the base directly.
+        in_box = np.all(
+            (queries >= grid.lo[np.newaxis, :])
+            & (queries <= grid.hi[np.newaxis, :]),
+            axis=1,
+        )
+        box_rows = np.flatnonzero(in_box)
+        if len(box_rows):
+            answers = tree.batch_range_query(queries[box_rows], eps=eps)
+            for pos, hits in zip(box_rows, answers):
+                if len(hits):
+                    alive = hits[base_alive[hits]]
+                    if len(alive):
+                        parts[pos].append(base_ids[alive])
+        out_rows = np.flatnonzero(~in_box)
+    if len(out_rows) and base_alive.any():
+        _brute_range(
+            queries, out_rows, base_points(), base_ids, base_alive,
+            eps, spec.metric, parts,
+        )
+    if len(delta_points):
+        _brute_range(
+            queries, all_rows, delta_points, delta_ids, delta_alive,
+            eps, spec.metric, parts,
+        )
+    out: List[np.ndarray] = []
+    for bucket in parts:
+        if not bucket:
+            out.append(np.empty(0, dtype=np.int64))
+        elif len(bucket) == 1:
+            out.append(np.sort(bucket[0]))
+        else:
+            out.append(np.sort(np.concatenate(bucket)))
+    return out
+
+
+def _brute_range(
+    queries: np.ndarray,
+    rows: np.ndarray,
+    points: np.ndarray,
+    ids: np.ndarray,
+    alive: np.ndarray,
+    eps: float,
+    metric,
+    parts: List[List[np.ndarray]],
+) -> None:
+    """Scan ``points[alive]`` for each ``queries[rows]``; fill ``parts``.
+
+    Vectorized in blocks of query rows so the broadcast diff tensor
+    stays bounded regardless of batch width.
+    """
+    live = np.flatnonzero(alive)
+    if not len(live) or not len(rows):
+        return
+    block = points[live]
+    chunk = max(1, 262144 // len(live))
+    for start in range(0, len(rows), chunk):
+        sub = rows[start:start + chunk]
+        diffs = np.abs(queries[sub][:, np.newaxis, :] - block[np.newaxis, :, :])
+        keep = metric.within_gap(
+            diffs.reshape(-1, diffs.shape[2]), eps
+        ).reshape(len(sub), len(live))
+        for local, q in enumerate(sub):
+            hit = keep[local]
+            if hit.any():
+                parts[q].append(ids[live[hit]])

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.config import JoinSpec, validate_points
 from repro.core.epsilon_kdb import Grid
-from repro.core.flat_build import FlatEpsilonKdbTree
+from repro.core.flat_build import FlatEpsilonKdbTree, live_batch_range_query
 from repro.core.join import epsilon_kdb_join, epsilon_kdb_self_join, flat_probe
 from repro.core.resilience import FaultPlan, retry_transient
 from repro.core.result import JoinResult, JoinStats
@@ -833,7 +833,10 @@ class IncrementalJoin:
 
     def _live_rows(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Validate a non-empty delete batch; return its (base, delta) rows."""
-        if len(np.unique(ids)) != len(ids):
+        # Sort and compare neighbours: np.unique imports numpy.ma on its
+        # first call, which a fresh process replaying a delete would pay.
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise InvalidParameterError("delete() ids contain duplicates")
         side, row = self._locate(ids)
         if (side < 0).any():
@@ -1028,109 +1031,26 @@ class IncrementalJoin:
 
         A pure query (no journaling, no mutation): one leaf-directed
         pass over the base tree for the whole batch plus a vectorized
-        sweep of the delta buffer, with tombstoned rows filtered out.
+        sweep of the delta buffer, with tombstoned rows filtered out
+        (:func:`~repro.core.flat_build.live_batch_range_query`).
         Returns one ascending int64 id array per query — byte-identical,
         per query, to a brute-force scan of :meth:`live_points`.
         ``eps`` defaults to the spec epsilon and may not exceed it (the
         base tree's cells are sized for the spec).
         """
-        queries = validate_points(queries, "queries")
-        if eps is None:
-            eps = self.spec.epsilon
-        eps = float(eps)
-        if not np.isfinite(eps) or eps <= 0:
-            raise InvalidParameterError(
-                f"query radius must be a positive finite number, got {eps!r}"
-            )
-        if eps > self.spec.epsilon:
-            raise InvalidParameterError(
-                f"query radius {eps} exceeds the session epsilon "
-                f"{self.spec.epsilon}"
-            )
-        n_q = len(queries)
-        if self._dims is None:
-            return [_EMPTY_IDS.copy() for _ in range(n_q)]
-        if queries.shape[1] != self._dims:
-            raise InvalidParameterError(
-                f"session holds {self._dims}-dimensional points, "
-                f"got queries with {queries.shape[1]}"
-            )
-        parts: List[List[np.ndarray]] = [[] for _ in range(n_q)]
-        tree = self._base_tree
-        if tree is not None:
-            grid = tree.grid
-            # The tree pass is only sound for queries inside the grid box
-            # (cell_of clips); out-of-box queries scan the base directly.
-            in_box = np.all(
-                (queries >= grid.lo[np.newaxis, :])
-                & (queries <= grid.hi[np.newaxis, :]),
-                axis=1,
-            )
-            box_rows = np.flatnonzero(in_box)
-            if len(box_rows):
-                answers = tree.batch_range_query(queries[box_rows], eps=eps)
-                for pos, hits in zip(box_rows, answers):
-                    if len(hits):
-                        alive = hits[self._base_alive[hits]]
-                        if len(alive):
-                            parts[pos].append(self._base_ids[alive])
-            out_rows = np.flatnonzero(~in_box)
-            if len(out_rows):
-                self._brute_range(
-                    queries, out_rows, self._base_points,
-                    self._base_ids, self._base_alive, eps, parts,
-                )
-        elif len(self._base_points):  # pragma: no cover - defensive
-            self._brute_range(
-                queries, np.arange(n_q, dtype=np.int64), self._base_points,
-                self._base_ids, self._base_alive, eps, parts,
-            )
-        if len(self._delta_points):
-            self._brute_range(
-                queries, np.arange(n_q, dtype=np.int64), self._delta_points,
-                self._delta_ids, self._delta_alive, eps, parts,
-            )
-        out: List[np.ndarray] = []
-        for bucket in parts:
-            if not bucket:
-                out.append(_EMPTY_IDS.copy())
-            elif len(bucket) == 1:
-                out.append(np.sort(bucket[0]))
-            else:
-                out.append(np.sort(np.concatenate(bucket)))
-        return out
-
-    def _brute_range(
-        self,
-        queries: np.ndarray,
-        rows: np.ndarray,
-        points: np.ndarray,
-        ids: np.ndarray,
-        alive: np.ndarray,
-        eps: float,
-        parts: List[List[np.ndarray]],
-    ) -> None:
-        """Scan ``points[alive]`` for each ``queries[rows]``; fill ``parts``.
-
-        Vectorized in blocks of query rows so the broadcast diff tensor
-        stays bounded regardless of batch width.
-        """
-        live = np.flatnonzero(alive)
-        if not len(live) or not len(rows):
-            return
-        block = points[live]
-        metric = self.spec.metric
-        chunk = max(1, 262144 // len(live))
-        for start in range(0, len(rows), chunk):
-            sub = rows[start:start + chunk]
-            diffs = np.abs(queries[sub][:, np.newaxis, :] - block[np.newaxis, :, :])
-            keep = metric.within_gap(
-                diffs.reshape(-1, diffs.shape[2]), eps
-            ).reshape(len(sub), len(live))
-            for local, q in enumerate(sub):
-                hit = keep[local]
-                if hit.any():
-                    parts[q].append(ids[live[hit]])
+        return live_batch_range_query(
+            queries,
+            eps,
+            spec=self.spec,
+            dims=self._dims,
+            tree=self._base_tree,
+            base_points=lambda: self._base_points,
+            base_ids=self._base_ids,
+            base_alive=self._base_alive,
+            delta_points=self._delta_points,
+            delta_ids=self._delta_ids,
+            delta_alive=self._delta_alive,
+        )
 
     # ------------------------------------------------------------------
     # internals

@@ -57,10 +57,8 @@ from repro.obs import trace
 #: cascade always engages on full tiles and per-tile dispatch overhead
 #: vanishes; small enough that a tile's gathered coordinates stay
 #: cache-friendly and the two int64 index buffers cost at most
-#: ~1 MiB.  This constant is the fallback; ``repro calibrate`` sweeps
-#: tile sizes and stores the fastest in the host's
-#: :class:`~repro.planner.profile.CostProfile`, which queues constructed
-#: without an explicit ``tile_rows`` adopt.
+#: ~1 MiB.  E21's tile sweep measured it fastest; queues constructed
+#: without an explicit ``tile_rows`` use it.
 DEFAULT_TILE_ROWS = 65_536
 
 #: Dimensions accumulated per short-circuit reduction block.
@@ -484,13 +482,7 @@ class LeafBatchQueue:
         tile_rows: Optional[int] = None,
     ):
         if tile_rows is None:
-            # The calibrated host profile carries the auto-tuned tile
-            # size (function-level import: planner.profile is stdlib-only
-            # and must never import core at module level, so the
-            # dependency points this way, lazily).
-            from repro.planner.profile import active_tile_rows
-
-            tile_rows = active_tile_rows()
+            tile_rows = DEFAULT_TILE_ROWS
         if tile_rows < 1:
             raise ConfigError(f"tile_rows must be >= 1, got {tile_rows!r}")
         self._filter_rows = filter_rows

@@ -104,8 +104,9 @@ class JoinStats:
             summed over work-queue tiles — the figure E21's tile sweep
             compares.
         planned_strategy: execution strategy the cost-based planner
-            chose (:mod:`repro.planner`); empty when the caller pinned
-            an engine without planning or called an algorithm directly.
+            chose (:mod:`repro.planner`), or ``"external"`` when the
+            facade ran the external driver; empty when the caller
+            called an algorithm directly.
         predicted_cost: the planner's predicted wall-clock seconds for
             the chosen strategy — compare against the measured time for
             the mispredict ratio E22 charts (a gauge; ``merge`` keeps

@@ -22,7 +22,7 @@ Typical use::
 
     tracer = Tracer()
     with trace.activate(tracer):
-        similarity_join(points, epsilon=0.1, parallel=True)
+        similarity_join(points, epsilon=0.1, engine="parallel")
     spans = tracer.export()
     print(format_tree(spans))
     write_jsonl(spans, "join.trace.jsonl")

@@ -6,12 +6,12 @@ measures this host's per-unit costs once and caches them as a
 :class:`~repro.planner.profile.CostProfile`;
 :func:`~repro.planner.plan.plan_execution` combines those constants with
 the analytic work predictions (and a live session's join-size sketch)
-into an :class:`~repro.planner.plan.ExecutionPlan` ranking serial,
-parallel, external, delta-probe, and snapshot-reuse execution.  ``similarity_join(engine="auto")``, the
-serve layer, and ``repro join --explain`` all consume it.
+into an :class:`~repro.planner.plan.ExecutionPlan` ranking serial
+against parallel execution.  ``similarity_join(engine="auto")``, the
+serve layer's ``mini_join``, and ``repro join --explain`` consume it.
 """
 
-from repro.planner.calibrate import TILE_CANDIDATES, calibrate, calibrate_and_save
+from repro.planner.calibrate import calibrate, calibrate_and_save
 from repro.planner.plan import (
     ALL_STRATEGIES,
     ExecutionPlan,
@@ -22,7 +22,6 @@ from repro.planner.profile import (
     PROFILE_ENV_VAR,
     CostProfile,
     active_profile,
-    active_tile_rows,
     default_profile_path,
     host_fingerprint,
     load_profile,
@@ -36,9 +35,7 @@ __all__ = [
     "ExecutionPlan",
     "PROFILE_ENV_VAR",
     "StrategyCost",
-    "TILE_CANDIDATES",
     "active_profile",
-    "active_tile_rows",
     "calibrate",
     "calibrate_and_save",
     "default_profile_path",

@@ -1,4 +1,4 @@
-"""Score every viable execution strategy and pick the cheapest.
+"""Score serial against parallel execution and pick the cheaper.
 
 :func:`plan_execution` combines the analytic work predictions of
 :mod:`repro.analysis.cost_model` (how many candidates, how many node
@@ -6,19 +6,17 @@ visits) with the calibrated per-unit constants of a
 :class:`~repro.planner.profile.CostProfile` (how long each unit takes on
 this host) into a predicted wall-clock cost per strategy, returning an
 :class:`ExecutionPlan` whose ``chosen`` entry drives
-``similarity_join(engine="auto")``, the serve layer's per-request
-dispatch, and the snapshot-reuse-vs-rebuild decision for persisted
-tenants.
+``similarity_join(engine="auto")`` and the serve layer's per-request
+``mini_join`` dispatch.
 
 The formulas deliberately stay first-order: the goal is to *rank*
 strategies, not to forecast seconds precisely.  E22 measures the gap —
-planner regret, chosen cost over oracle-best cost — across the
-(n, d, ε, persisted?) matrix.
+planner regret, chosen cost over oracle-best cost — across an
+(n, d, ε) matrix.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -40,20 +38,7 @@ __all__ = [
 ]
 
 #: Every strategy the planner knows how to score, in display order.
-ALL_STRATEGIES = (
-    "serial",
-    "parallel",
-    "external",
-    "delta-probe",
-    "snapshot-reuse",
-)
-
-#: Pages the external driver touches per input page: domain scan,
-#: histogram scan, partition write, partition read, output drain.
-_EXTERNAL_PASSES = 5.0
-
-#: Default page size (rows) of the external driver's simulated disk.
-_EXTERNAL_PAGE_ROWS = 256
+ALL_STRATEGIES = ("serial", "parallel")
 
 
 @dataclass
@@ -61,9 +46,8 @@ class StrategyCost:
     """One scored strategy.
 
     ``feasible`` is False when the strategy cannot run for this request
-    (no snapshot to reuse, no delta session, or a memory budget the
-    in-memory engines would blow); infeasible strategies keep their
-    predicted cost for the explain table but are never chosen.
+    (parallel execution of fewer than two points); infeasible strategies
+    keep their predicted cost for the explain table but are never chosen.
     """
 
     strategy: str
@@ -157,15 +141,12 @@ def plan_execution(
     n2: Optional[int] = None,
     eps: Optional[float] = None,
     sketch_estimate: Optional[float] = None,
-    snapshot_bytes: Optional[int] = None,
-    delta_size: Optional[int] = None,
     n_workers: Optional[int] = None,
-    memory_budget_points: Optional[int] = None,
     profile: Optional[CostProfile] = None,
     strategies: Optional[Sequence[str]] = None,
     forced: Optional[str] = None,
 ) -> ExecutionPlan:
-    """Score the viable strategies for one request and choose the cheapest.
+    """Score serial and parallel execution of one request; choose the cheaper.
 
     Args:
         spec: the :class:`~repro.core.config.JoinSpec` of the request
@@ -178,23 +159,17 @@ def plan_execution(
         sketch_estimate: a live session's ``JoinSizeSketch`` estimate of
             the output size; raises the candidate floor when the
             analytic model under-predicts clustered data.
-        snapshot_bytes: size of a persisted snapshot generation, when
-            one exists — enables the ``snapshot-reuse`` strategy.
-        delta_size: live delta-buffer rows of an open incremental
-            session — enables the ``delta-probe`` strategy.
         n_workers: process-pool size for the parallel strategy
             (defaults to ``spec.n_workers`` or the CPU count).
-        memory_budget_points: points that fit in memory; when set and
-            smaller than the input, every in-memory strategy becomes
-            infeasible and the external driver is the only choice.
         profile: cost constants; defaults to the process-wide active
             profile (see :func:`repro.planner.profile.active_profile`).
-        strategies: restrict scoring to this subset (the serve layer
-            only dispatches serial vs parallel for mini-joins).
+        strategies: restrict scoring to this subset of
+            :data:`ALL_STRATEGIES`.
         forced: record that the caller pinned this strategy
-            (``engine="parallel"`` etc.); it is chosen regardless of its
-            predicted cost, but every cost still lands in the plan so
-            ``--explain`` and the mispredict metrics stay meaningful.
+            (``engine="serial"`` or ``"parallel"``); it is chosen
+            regardless of its predicted cost, but every cost still
+            lands in the plan so ``--explain`` and the mispredict
+            metrics stay meaningful.
 
     Returns:
         An :class:`ExecutionPlan`; ``plan.chosen`` names the winner.
@@ -233,9 +208,6 @@ def plan_execution(
     build_cost = total * profile.build_point_seconds
     traverse_cost = visits * profile.node_visit_seconds
     kernel_cost = kdb_candidates * check
-    fits_in_memory = (
-        memory_budget_points is None or total <= memory_budget_points
-    )
 
     costs: List[StrategyCost] = []
 
@@ -254,7 +226,6 @@ def plan_execution(
     add(
         "serial",
         build_cost + traverse_cost + kernel_cost,
-        feasible=fits_in_memory,
         detail=f"candidates~{kdb_candidates:.0f}",
     )
     add(
@@ -264,35 +235,9 @@ def plan_execution(
         + kernel_cost / max(1, workers)
         + profile.pool_startup_seconds
         + 2.0 * workers * profile.worker_dispatch_seconds,
-        feasible=fits_in_memory and total >= 2,
+        feasible=total >= 2,
         detail=f"workers={workers}",
     )
-    pages = math.ceil(max(1, total) / _EXTERNAL_PAGE_ROWS)
-    add(
-        "external",
-        build_cost
-        + traverse_cost
-        + kernel_cost
-        + _EXTERNAL_PASSES * pages * profile.page_io_seconds,
-        feasible=total >= 2,
-        detail=f"pages~{pages}",
-    )
-    if delta_size is not None:
-        fraction = min(1.0, delta_size / max(1, total))
-        add(
-            "delta-probe",
-            traverse_cost * fraction + kernel_cost * 2.0 * fraction,
-            feasible=fits_in_memory,
-            detail=f"delta={delta_size}",
-        )
-    if snapshot_bytes is not None:
-        add(
-            "snapshot-reuse",
-            snapshot_bytes * profile.snapshot_byte_seconds
-            + traverse_cost
-            + kernel_cost,
-            detail=f"bytes={snapshot_bytes}",
-        )
 
     if not costs:
         raise InvalidParameterError(
@@ -309,13 +254,9 @@ def plan_execution(
             )
         matched[0].chosen = True
     else:
-        viable = [cost for cost in costs if cost.feasible]
-        if not viable:
-            raise InvalidParameterError(
-                "no feasible strategy: input exceeds the memory budget "
-                "and the external driver was excluded"
-            )
-        winner = min(viable, key=lambda cost: cost.predicted_seconds)
+        winner = min(
+            costs, key=lambda cost: (not cost.feasible, cost.predicted_seconds)
+        )
         winner.chosen = True
         chosen = winner.strategy
 

@@ -1,20 +1,17 @@
 """Calibrated per-host cost constants for the execution planner.
 
-A :class:`CostProfile` holds the handful of hardware constants the
-planner multiplies against the analytic work predictions of
+A :class:`CostProfile` holds the five hardware constants the planner
+multiplies against the analytic work predictions of
 :mod:`repro.analysis.cost_model`: seconds per candidate coordinate
-checked, per node pair visited, per simulated page of I/O, per stripe
-task dispatched to the process pool, and so on.  The defaults are
-conservative order-of-magnitude figures good enough to rank strategies
-on a typical machine; ``repro calibrate`` (see
-:mod:`repro.planner.calibrate`) replaces them with measured values and
-caches the result as JSON, fingerprinted to the host so a profile
+checked, per node pair visited, per point built, per stripe task
+dispatched to the process pool, and the pool's start-up.  The defaults
+are conservative order-of-magnitude figures good enough to rank serial
+against parallel execution on a typical machine; ``repro calibrate``
+(see :mod:`repro.planner.calibrate`) replaces them with measured values
+and caches the result as JSON, fingerprinted to the host so a profile
 copied to different hardware is ignored rather than trusted.
 
-This module deliberately imports nothing from :mod:`repro.core`: the
-kernel work-queue (:class:`~repro.core.kernels.LeafBatchQueue`) reads
-its auto-tuned tile size from the active profile, so the dependency
-must point this way only.
+This module imports nothing from :mod:`repro.core`.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ __all__ = [
     "CostProfile",
     "PROFILE_ENV_VAR",
     "active_profile",
-    "active_tile_rows",
     "default_profile_path",
     "host_fingerprint",
     "load_profile",
@@ -48,10 +44,6 @@ PROFILE_VERSION = 1
 #: Environment override for the profile path (CI points this at a
 #: workspace file so calibration survives between steps).
 PROFILE_ENV_VAR = "REPRO_COST_PROFILE"
-
-#: Mirror of :data:`repro.core.kernels.DEFAULT_TILE_ROWS` — kept as a
-#: literal because kernels resolves its tile size *from* this module.
-_DEFAULT_TILE_ROWS = 65_536
 
 
 def host_fingerprint() -> str:
@@ -81,18 +73,12 @@ class CostProfile:
         node_visit_seconds: per node pair the tree traversal touches
             outside the kernel (descent, adjacency grouping, sweep
             bookkeeping).
-        page_io_seconds: per simulated disk page read or written by the
-            external-memory driver.
         worker_dispatch_seconds: per stripe task shipped to and merged
             from the process pool, excluding pool startup.
         pool_startup_seconds: one-time cost of spinning up the process
             pool (fork/spawn plus the first round-trip).
         build_point_seconds: per point of the flat (radix) tree build,
             sort included.
-        snapshot_byte_seconds: per byte of mapping and validating a
-            persisted snapshot (memmap open + checksum, amortized).
-        tile_rows: auto-tuned :class:`~repro.core.kernels.LeafBatchQueue`
-            tile capacity chosen by the calibration sweep.
         host: :func:`host_fingerprint` of the measuring machine; empty
             for the built-in defaults.
         calibrated_at: unix timestamp of the measurement (0 = defaults).
@@ -102,12 +88,9 @@ class CostProfile:
 
     candidate_check_seconds: float = 2.0e-9
     node_visit_seconds: float = 2.0e-6
-    page_io_seconds: float = 2.0e-5
     worker_dispatch_seconds: float = 2.0e-3
     pool_startup_seconds: float = 0.35
     build_point_seconds: float = 5.0e-7
-    snapshot_byte_seconds: float = 2.0e-10
-    tile_rows: int = _DEFAULT_TILE_ROWS
     host: str = ""
     calibrated_at: float = 0.0
     source: str = "default"
@@ -120,13 +103,6 @@ class CostProfile:
                     raise InvalidParameterError(
                         f"CostProfile.{spec.name} must be a string, got {value!r}"
                     )
-                continue
-            if spec.name == "tile_rows":
-                if int(value) < 1:
-                    raise InvalidParameterError(
-                        f"CostProfile.tile_rows must be >= 1, got {value!r}"
-                    )
-                self.tile_rows = int(value)
                 continue
             value = float(value)
             floor = 0.0 if spec.name == "calibrated_at" else None
@@ -206,7 +182,7 @@ _ACTIVE: Optional[CostProfile] = None
 
 
 def active_profile() -> CostProfile:
-    """The process-wide profile the planner and work-queue consult.
+    """The process-wide profile the planner consults.
 
     Loaded lazily from :func:`default_profile_path` on first use;
     :func:`set_active_profile` overrides it (tests inject synthetic
@@ -222,11 +198,6 @@ def set_active_profile(profile: Optional[CostProfile]) -> None:
     """Install ``profile`` process-wide; ``None`` re-reads from disk lazily."""
     global _ACTIVE
     _ACTIVE = profile
-
-
-def active_tile_rows() -> int:
-    """Tile capacity for :class:`~repro.core.kernels.LeafBatchQueue`."""
-    return active_profile().tile_rows
 
 
 def stamp(profile: CostProfile, source: str = "calibrated") -> CostProfile:

@@ -8,12 +8,13 @@ event loop can schedule a mutation — tasks only interleave at ``await``
 points.
 
 A tenant attached from a persisted directory starts in one of two
-modes, chosen by the cost-based planner (:mod:`repro.planner`): a
-**zero-materialization** :class:`~repro.storage.view.SnapshotView`
-answering range queries straight off the memmapped snapshot arrays, or
-a fully recovered :class:`IncrementalJoin`.  The view is the common
-winner for read-only traffic (no array copies, no WAL machinery); the
-first mutating operation — insert, delete, compact, pairs, mini-join —
+modes: a **zero-materialization**
+:class:`~repro.storage.view.SnapshotView` answering range queries
+straight off the memmapped snapshot arrays whenever the newest valid
+snapshot is fresh, or a fully recovered :class:`IncrementalJoin` when
+the write-ahead log holds newer records.  The view does strictly less
+work than recovery (no array copies, no WAL machinery); the first
+mutating operation — insert, delete, compact, pairs, mini-join —
 *promotes* the tenant by materializing the real session underneath, so
 clients never see the difference beyond latency.
 
@@ -80,10 +81,9 @@ class TenantSession:
         self.lock = asyncio.Lock()
         self.last_plan: Optional[ExecutionPlan] = None
         # Serving-side stats for view mode (a recovered join brings its
-        # own); records the plan decision so `stats` requests show it.
+        # own).
         self._view_stats = JoinStats()
         if view is not None:
-            self._view_stats.planned_strategy = "snapshot-reuse"
             self._view_stats.snapshot_bytes = view.snapshot_bytes
 
     # ------------------------------------------------------------------
@@ -139,9 +139,8 @@ class TenantSession:
         """Promote a view-backed tenant to a full recovered session.
 
         Idempotent and cheap once promoted.  Taken under the session
-        lock so concurrent mutations promote exactly once; the planner's
-        stats carry over the ``snapshot-reuse`` decision that preceded
-        the promotion.
+        lock so concurrent mutations promote exactly once; the view's
+        stats carry over into the recovered session's.
         """
         if self.join is not None:
             return self.join
@@ -272,16 +271,13 @@ class SessionManager:
         """Open (or return) the tenant ``name``.
 
         A ``path`` opens/creates a persisted session: when the directory
-        already holds snapshot generations, the cost-based planner
-        weighs mapping the newest snapshot read-only (``snapshot-reuse``
-        — a :class:`SnapshotView`, zero materialization) against a full
-        recovery, and the view wins for the common read-only attach; a
-        stale view (WAL ahead of the snapshot), a corrupt newest
-        generation, or a losing plan falls back to
-        :meth:`IncrementalJoin.open`.  Without a path the session is
-        in-memory and ``spec`` is required.  Re-attaching an existing
-        tenant returns the live session; a spec passed alongside must
-        match its structural fingerprint.
+        already holds a fresh snapshot generation, the tenant maps it
+        read-only as a :class:`SnapshotView` (zero materialization); a
+        stale view (WAL ahead of the snapshot) or a corrupt newest
+        generation falls back to :meth:`IncrementalJoin.open`.  Without
+        a path the session is in-memory and ``spec`` is required.
+        Re-attaching an existing tenant returns the live session; a spec
+        passed alongside must match its structural fingerprint.
         """
         if not name or not isinstance(name, str):
             raise InvalidParameterError(
@@ -329,12 +325,12 @@ class SessionManager:
         path: str,
         opener: Callable[[], IncrementalJoin],
     ) -> Optional[TenantSession]:
-        """Attach ``name`` as a SnapshotView when the planner prefers it.
+        """Attach ``name`` as a SnapshotView when the snapshot is fresh.
 
         Returns ``None`` (→ materialize instead) when the directory
-        holds no snapshot yet, the view would be stale or corrupt, or
-        the plan favors recovery.  A structural-spec mismatch raises,
-        mirroring :meth:`IncrementalJoin.open`.
+        holds no snapshot yet or the view would be stale or corrupt.  A
+        structural-spec mismatch raises, mirroring
+        :meth:`IncrementalJoin.open`.
         """
         if not list_snapshots(path):
             return None
@@ -353,27 +349,12 @@ class SessionManager:
                 f"{view.spec.fingerprint()}); attach without a spec to "
                 "use the stored one"
             )
-        plan = plan_execution(
-            view.spec,
-            view.n_live,
-            view.dims or 1,
-            snapshot_bytes=view.snapshot_bytes,
-            strategies=("serial", "snapshot-reuse"),
-        )
-        self._count(f"serve.plan.{plan.chosen}")
-        if plan.chosen != "snapshot-reuse":
-            view.close()
-            return None
-        session = TenantSession(
+        return TenantSession(
             name,
             view=view,
             opener=opener,
             on_promote=lambda s: self._count("serve.tenant_promoted"),
         )
-        session.last_plan = plan
-        session._view_stats.predicted_cost = plan.predicted_cost
-        session._view_stats.plan_seconds = plan.plan_seconds
-        return session
 
     def get(self, name: str) -> TenantSession:
         session = self._tenants.get(name)

@@ -11,11 +11,10 @@ memmap views themselves, and the traversal only ever reads them.
 The view is strictly read-only and strictly as-of the snapshot: if the
 session's write-ahead log holds records newer than the snapshot's
 watermark, opening raises :class:`~repro.errors.StaleSnapshotError` and
-the caller falls back to full recovery (which replays the log).  The
-cost-based planner picks this path for read-only queries against
-persisted tenants — E19 measured the snapshot re-open 2937× faster than
-a rebuild, and E22 measures this view against full session
-materialization.
+the caller falls back to full recovery (which replays the log).  A
+serve tenant attaches through this path whenever the snapshot is
+fresh — E19 measured the snapshot re-open 2937× faster than a rebuild,
+and E22 measures this view against full session materialization.
 
 Import discipline: this module sits *below* :mod:`repro.core.incremental`
 — it may import :mod:`~repro.core.config`, :mod:`~repro.core.epsilon_kdb`
@@ -31,9 +30,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.config import JoinSpec, validate_points
+from repro.core.config import JoinSpec
 from repro.core.epsilon_kdb import Grid
-from repro.core.flat_build import FlatEpsilonKdbTree
+from repro.core.flat_build import FlatEpsilonKdbTree, live_batch_range_query
 from repro.errors import (
     CorruptSnapshotError,
     InvalidParameterError,
@@ -226,69 +225,27 @@ class SnapshotView:
         """Ids of live points within ``eps`` of each query row.
 
         The same answer :class:`IncrementalJoin.batch_range_query` gives
-        for the recovered session: a leaf-directed pass over the
-        memmapped base tree for in-grid queries, a blocked brute scan
-        for out-of-grid queries and any persisted delta rows, tombstones
-        filtered, one ascending int64 id array per query.
+        for the recovered session, through the same
+        :func:`~repro.core.flat_build.live_batch_range_query`: a
+        leaf-directed pass over the memmapped base tree for in-grid
+        queries, a blocked brute scan for out-of-grid queries and any
+        persisted delta rows, tombstones filtered, one ascending int64
+        id array per query.
         """
-        queries = validate_points(queries, "queries")
-        if eps is None:
-            eps = self.spec.epsilon
-        eps = float(eps)
-        if not np.isfinite(eps) or eps <= 0:
-            raise InvalidParameterError(
-                f"query radius must be a positive finite number, got {eps!r}"
-            )
-        if eps > self.spec.epsilon:
-            raise InvalidParameterError(
-                f"query radius {eps} exceeds the snapshot epsilon "
-                f"{self.spec.epsilon}"
-            )
-        n_q = len(queries)
-        if self._dims is None:
-            return [_EMPTY_IDS.copy() for _ in range(n_q)]
-        if queries.shape[1] != self._dims:
-            raise InvalidParameterError(
-                f"snapshot holds {self._dims}-dimensional points, "
-                f"got queries with {queries.shape[1]}"
-            )
-        parts: List[List[np.ndarray]] = [[] for _ in range(n_q)]
-        tree = self._tree
-        if tree is not None:
-            grid = tree.grid
-            in_box = np.all(
-                (queries >= grid.lo[np.newaxis, :])
-                & (queries <= grid.hi[np.newaxis, :]),
-                axis=1,
-            )
-            box_rows = np.flatnonzero(in_box)
-            if len(box_rows):
-                answers = tree.batch_range_query(queries[box_rows], eps=eps)
-                for pos, hits in zip(box_rows, answers):
-                    if len(hits):
-                        alive = hits[self._base_alive[hits]]
-                        if len(alive):
-                            parts[pos].append(self._base_ids[alive])
-            out_rows = np.flatnonzero(~in_box)
-            if len(out_rows):
-                self._brute_range(
-                    queries, out_rows, self._input_order_base(),
-                    self._base_ids, self._base_alive, eps, parts,
-                )
-        if len(self._delta_points):
-            self._brute_range(
-                queries, np.arange(n_q, dtype=np.int64), self._delta_points,
-                self._delta_ids, self._delta_alive, eps, parts,
-            )
-        out: List[np.ndarray] = []
-        for bucket in parts:
-            if not bucket:
-                out.append(_EMPTY_IDS.copy())
-            elif len(bucket) == 1:
-                out.append(np.sort(bucket[0]))
-            else:
-                out.append(np.sort(np.concatenate(bucket)))
-        return out
+        return live_batch_range_query(
+            queries,
+            eps,
+            spec=self.spec,
+            dims=self._dims,
+            tree=self._tree,
+            base_points=self._input_order_base,
+            base_ids=self._base_ids,
+            base_alive=self._base_alive,
+            delta_points=self._delta_points,
+            delta_ids=self._delta_ids,
+            delta_alive=self._delta_alive,
+            owner="snapshot",
+        )
 
     def _input_order_base(self) -> np.ndarray:
         """Base points gathered back to input order (out-of-grid path only).
@@ -310,33 +267,3 @@ class SnapshotView:
                     tree.points_flat[inverse]
                 )
         return self._base_points
-
-    def _brute_range(
-        self,
-        queries: np.ndarray,
-        rows: np.ndarray,
-        points: np.ndarray,
-        ids: np.ndarray,
-        alive: np.ndarray,
-        eps: float,
-        parts: List[List[np.ndarray]],
-    ) -> None:
-        """Blocked brute scan of ``points[alive]``; mirrors the session's."""
-        live = np.flatnonzero(alive)
-        if not len(live) or not len(rows):
-            return
-        block = points[live]
-        metric = self.spec.metric
-        chunk = max(1, 262144 // len(live))
-        for start in range(0, len(rows), chunk):
-            sub = rows[start:start + chunk]
-            diffs = np.abs(
-                queries[sub][:, np.newaxis, :] - block[np.newaxis, :, :]
-            )
-            keep = metric.within_gap(
-                diffs.reshape(-1, diffs.shape[2]), eps
-            ).reshape(len(sub), len(live))
-            for local, q in enumerate(sub):
-                hit = keep[local]
-                if hit.any():
-                    parts[q].append(ids[live[hit]])

@@ -12,7 +12,6 @@ from repro.errors import InvalidParameterError
 def test_all_algorithms_registered():
     assert set(ALGORITHMS) == {
         "epsilon-kdb",
-        "epsilon-kdb-parallel",
         "rtree",
         "rplus",
         "zorder",
@@ -22,27 +21,33 @@ def test_all_algorithms_registered():
     }
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+# How each case reaches the facade. "epsilon-kdb-parallel" is not a registry
+# name: it is the epsilon-kdb join run through ``engine="parallel"``.
+CASES = {name: {"algorithm": name} for name in ALGORITHMS}
+CASES["epsilon-kdb-parallel"] = {"engine": "parallel"}
+
+
+@pytest.mark.parametrize("algorithm", sorted(CASES))
 def test_every_algorithm_self_join(algorithm, small_uniform):
     spec = JoinSpec(epsilon=0.3)
     expected = oracle_self_pairs(small_uniform, spec)
-    pairs = similarity_join(small_uniform, epsilon=0.3, algorithm=algorithm)
+    pairs = similarity_join(small_uniform, epsilon=0.3, **CASES[algorithm])
     assert_same_pairs(pairs, expected, algorithm)
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(CASES))
 def test_every_algorithm_two_set_join(algorithm, small_uniform):
     other = np.random.default_rng(0).random((400, 8))
     spec = JoinSpec(epsilon=0.35)
     expected = oracle_two_set_pairs(small_uniform, other, spec)
     pairs = similarity_join(
-        small_uniform, other, epsilon=0.35, algorithm=algorithm
+        small_uniform, other, epsilon=0.35, **CASES[algorithm]
     )
     assert_same_pairs(pairs, expected, f"{algorithm} two-set")
 
 
 @pytest.mark.parametrize(
-    "algorithm", sorted(ALGORITHMS) + ["index-nested-loop"]
+    "algorithm", sorted(CASES) + ["index-nested-loop"]
 )
 def test_two_set_dimensionality_mismatch_rejected(algorithm):
     """R with d=3 against S with d=4 is an error, never an empty answer."""
@@ -50,7 +55,16 @@ def test_two_set_dimensionality_mismatch_rejected(algorithm):
     with pytest.raises(InvalidParameterError, match="same dimensionality"):
         similarity_join(
             rng.random((40, 3)), rng.random((30, 4)), epsilon=0.2,
-            algorithm=algorithm,
+            **CASES.get(algorithm, {"algorithm": algorithm}),
+        )
+
+
+def test_parallel_algorithm_name_rejected(small_uniform):
+    """``engine="parallel"`` is the only way to pick the parallel executor;
+    the old registry name is an unknown algorithm."""
+    with pytest.raises(InvalidParameterError, match="unknown algorithm"):
+        similarity_join(
+            small_uniform, epsilon=0.3, algorithm="epsilon-kdb-parallel"
         )
 
 

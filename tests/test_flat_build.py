@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from _oracles import oracle_self_pairs, oracle_two_set_pairs
 from repro import JoinSpec
+from repro.core import kernels
 from repro.core.epsilon_kdb import EpsilonKdbTree, Grid
 from repro.core.external import external_self_join
 from repro.core.flat_build import FlatEpsilonKdbTree
@@ -29,8 +30,6 @@ from repro.core.result import JoinStats
 from repro.errors import InvalidParameterError
 from repro.metrics import WeightedLpMetric
 from repro.obs import MetricsRegistry
-from repro.planner import profile
-from repro.planner.profile import CostProfile
 
 
 def _spec(**kwargs):
@@ -248,9 +247,7 @@ class TestSerialEquivalence:
         """The frontier's counters equal the ones the recursive pointer
         traversal recorded on the same case (:data:`_POINTER_COUNTERS`),
         and its pairs equal brute force."""
-        monkeypatch.setattr(
-            profile, "_ACTIVE", CostProfile(tile_rows=_PINNED_TILE_ROWS)
-        )
+        monkeypatch.setattr(kernels, "DEFAULT_TILE_ROWS", _PINNED_TILE_ROWS)
         # Unpruned traversals visit every child pair: keep small.
         points = small_clusters if pruning else small_clusters[:300]
         kwargs = dict(metric=_COUNTER_METRICS[metric], adjacency_pruning=pruning)

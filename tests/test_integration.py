@@ -51,6 +51,11 @@ class TestAllAlgorithmsAgreeAtScale:
         assert pairs.shape == reference_pairs.shape
         assert (pairs == reference_pairs).all()
 
+    def test_parallel_engine_agrees(self, workload, reference_pairs):
+        pairs = similarity_join(workload, epsilon=EPS, engine="parallel")
+        assert pairs.shape == reference_pairs.shape
+        assert (pairs == reference_pairs).all()
+
     def test_external_agrees(self, workload, reference_pairs):
         report = external_self_join(
             workload, JoinSpec(epsilon=EPS), memory_points=700

@@ -327,22 +327,24 @@ def test_spec_n_workers_flows_through():
 def test_similarity_join_parallel_flag():
     points = make_points(n=500)
     expected = similarity_join(points, epsilon=0.3)
-    pairs = similarity_join(points, epsilon=0.3, parallel=True, n_workers=2)
+    pairs = similarity_join(points, epsilon=0.3, engine="parallel", n_workers=2)
     assert pairs.tobytes() == expected.tobytes()
 
 
 def test_similarity_join_parallel_algorithm_name():
     points = make_points(n=500)
     expected = similarity_join(points, epsilon=0.3)
-    pairs = similarity_join(points, epsilon=0.3, algorithm="epsilon-kdb-parallel")
+    pairs = similarity_join(points, epsilon=0.3, n_workers=2)
     assert pairs.tobytes() == expected.tobytes()
 
 
 def test_similarity_join_parallel_rejects_other_algorithms():
     with pytest.raises(InvalidParameterError):
         similarity_join(
-            make_points(n=50), epsilon=0.3, algorithm="grid", parallel=True
+            make_points(n=50), epsilon=0.3, algorithm="grid", engine="parallel"
         )
+    with pytest.raises(InvalidParameterError):
+        similarity_join(make_points(n=50), epsilon=0.3, algorithm="grid", n_workers=2)
 
 
 def test_similarity_join_accepts_resilience_kwargs():
@@ -351,7 +353,7 @@ def test_similarity_join_accepts_resilience_kwargs():
     pairs = similarity_join(
         points,
         epsilon=0.3,
-        parallel=True,
+        engine="parallel",
         n_workers=2,
         task_timeout=30.0,
         max_task_retries=1,

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import zlib
 from dataclasses import replace
@@ -731,6 +733,36 @@ class TestProbeFreeReplay:
         delta = reopened.delete([5])
         assert reopened.stats.pairs_retracted == len(delta.retracted)
         reopened.close()
+
+    def test_replayed_delete_does_not_import_numpy_ma(self, tmp_path):
+        """A fresh process reopening a tail that holds a delete stays
+        clear of ``numpy.ma`` (``np.unique`` imports it on first use, a
+        cost of tens of milliseconds on the first delete of a process)."""
+        path = _session_dir(tmp_path)
+        with IncrementalJoin(JoinSpec(epsilon=0.2, persist_path=path)) as writer:
+            writer.insert(np.random.default_rng(23).random((50, 3)))
+            writer.delete([3, 7])
+        script = (
+            "import sys\n"
+            "from repro.core.incremental import IncrementalJoin\n"
+            f"session = IncrementalJoin.open({path!r})\n"
+            "assert session.stats.wal_records_replayed == 2\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "session.close()\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_replay_compacts_at_the_writers_record(self, tmp_path):
         """A tail that crosses the delta threshold compacts mid-replay at

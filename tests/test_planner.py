@@ -4,15 +4,15 @@ Four concerns:
 
 * :class:`CostProfile` persistence — save/load round-trips, host
   fingerprint gating, version gating, cache reuse by ``calibrate``.
-* the decision matrix — synthetic profiles with exaggerated constants
-  force each strategy to win, so every planner branch is exercised
-  without depending on this machine's real timings.
+* the decision — synthetic profiles with exaggerated constants force
+  serial or parallel to win, so both outcomes are exercised without
+  depending on this machine's real timings.
 * engine equivalence — every strategy ``similarity_join`` can plan
   emits pairs byte-identical to the serial oracle, self and two-set.
 * :class:`SnapshotView` — the zero-materialization query path answers
   range queries identically to a fully recovered session, refuses
-  stale snapshots, and is what a persisted serve attach yields until
-  the first mutation promotes it.
+  stale snapshots, and is what a persisted serve attach of a fresh
+  snapshot yields until the first mutation promotes it.
 """
 
 import asyncio
@@ -34,7 +34,6 @@ from repro.errors import (
 from repro.datasets import gaussian_clusters, uniform_points
 from repro.obs import Tracer, trace
 from repro.planner import (
-    ALL_STRATEGIES,
     CostProfile,
     calibrate_and_save,
     load_profile,
@@ -68,12 +67,12 @@ def _default_profile(tmp_path, monkeypatch):
 class TestCostProfile:
     def test_save_load_round_trip(self, tmp_path):
         path = str(tmp_path / "profile.json")
-        profile = stamp(CostProfile(node_visit_seconds=3.5e-6, tile_rows=4096))
+        profile = stamp(CostProfile(node_visit_seconds=3.5e-6))
         save_profile(profile, path)
         loaded = load_profile(path)
         assert loaded == profile
         assert loaded.source == "calibrated"
-        assert loaded.tile_rows == 4096
+        assert loaded.node_visit_seconds == 3.5e-6
 
     def test_missing_file_yields_defaults(self, tmp_path):
         loaded = load_profile(str(tmp_path / "absent.json"))
@@ -99,15 +98,19 @@ class TestCostProfile:
         assert load_profile(str(path)) == CostProfile()
 
     def test_profile_with_removed_fields_loads(self, tmp_path):
-        """A profile written before the pointer and sort-merge planner
-        strategies were removed still loads; their constants are
-        skipped and the measured ones survive."""
+        """A profile written before the pointer, sort-merge, external
+        and snapshot-reuse planner strategies and the tile sweep were
+        removed still loads; their constants are skipped and the
+        measured ones survive."""
         path = tmp_path / "profile.json"
         data = stamp(CostProfile(node_visit_seconds=3.5e-6)).as_dict()
         data.update(
             pointer_build_factor=18.0,
             sort_point_seconds=1.5e-8,
             sort_merge_overhead_factor=40.0,
+            page_io_seconds=2.0e-5,
+            snapshot_byte_seconds=2.0e-10,
+            tile_rows=4096,
         )
         path.write_text(json.dumps(data))
         loaded = load_profile(str(path))
@@ -120,7 +123,7 @@ class TestCostProfile:
         with pytest.raises(InvalidParameterError):
             CostProfile(node_visit_seconds=float("nan"))
         with pytest.raises(InvalidParameterError):
-            CostProfile(tile_rows=0)
+            CostProfile(pool_startup_seconds=-1.0)
 
     def test_calibrate_reuses_cached_profile(self, tmp_path):
         # A valid profile for this host short-circuits the (slow)
@@ -140,11 +143,9 @@ def synthetic(**overrides):
     base = dict(
         candidate_check_seconds=1.0e-9,
         node_visit_seconds=1.0e-6,
-        page_io_seconds=1.0e-5,
         worker_dispatch_seconds=1.0e-3,
         pool_startup_seconds=0.5,
         build_point_seconds=5.0e-7,
-        snapshot_byte_seconds=2.0e-10,
         source="synthetic",
     )
     base.update(overrides)
@@ -152,7 +153,7 @@ def synthetic(**overrides):
 
 
 class TestDecisionMatrix:
-    """Each strategy wins under constants that favor it."""
+    """Serial and parallel each win under constants that favor them."""
 
     SPEC = JoinSpec(epsilon=0.1)
 
@@ -179,33 +180,15 @@ class TestDecisionMatrix:
         )
         assert plan.chosen == "parallel"
 
-    def test_external_is_sole_choice_beyond_memory_budget(self):
-        plan = self.plan(synthetic(), memory_budget_points=10_000)
-        assert plan.chosen == "external"
-        for cost in plan.costs:
-            assert cost.feasible == (cost.strategy == "external")
-
-    def test_delta_probe_wins_for_small_deltas(self):
-        plan = self.plan(synthetic(), delta_size=50)
-        assert plan.chosen == "delta-probe"
-
-    def test_snapshot_reuse_beats_rebuild(self):
-        # Mapping bytes is cheap; rebuilding pays the full build cost.
-        plan = self.plan(
-            synthetic(build_point_seconds=1.0e-4),
-            snapshot_bytes=10_000_000,
-            strategies=("serial", "snapshot-reuse"),
-        )
-        assert plan.chosen == "snapshot-reuse"
-
     def test_all_strategies_scored_when_enabled(self):
-        plan = self.plan(synthetic(), delta_size=10, snapshot_bytes=1000)
-        assert tuple(c.strategy for c in plan.costs) == ALL_STRATEGIES
+        # Serial vs parallel is the planner's one decision.
+        plan = self.plan(synthetic())
+        assert [c.strategy for c in plan.costs] == ["serial", "parallel"]
 
     def test_forced_strategy_pins_choice_but_scores_everything(self):
-        plan = self.plan(synthetic(), forced="external")
-        assert plan.chosen == "external"
-        assert plan.forced == "external"
+        plan = self.plan(synthetic(), forced="parallel")
+        assert plan.chosen == "parallel"
+        assert plan.forced == "parallel"
         assert plan.cost_of("serial").predicted_seconds > 0
         assert not plan.cost_of("serial").chosen
 
@@ -219,15 +202,8 @@ class TestDecisionMatrix:
         with pytest.raises(InvalidParameterError):
             self.plan(synthetic(), strategies=())
         with pytest.raises(InvalidParameterError):
-            self.plan(synthetic(), forced="snapshot-reuse")  # no snapshot
-        with pytest.raises(InvalidParameterError):
-            # Budget excludes in-memory strategies, restriction excludes
-            # the external driver: nothing feasible remains.
-            self.plan(
-                synthetic(),
-                memory_budget_points=100,
-                strategies=("serial", "parallel"),
-            )
+            # The external driver runs unplanned.
+            self.plan(synthetic(), forced="external")
 
     def test_plan_serialization_and_table(self):
         plan = self.plan(synthetic(), n=1000, dims=8)
@@ -276,10 +252,22 @@ class TestEngineEquivalence:
     def test_forced_engine_recorded_in_stats(self):
         points = uniform_points(300, 6, seed=9)
         result = similarity_join(
+            points, epsilon=0.2, engine="parallel", return_result=True
+        )
+        assert result.stats.planned_strategy == "parallel"
+        assert result.plan.forced == "parallel"
+        # n_workers takes the same forced-plan path.
+        result = similarity_join(
+            points, epsilon=0.2, n_workers=2, return_result=True
+        )
+        assert result.stats.planned_strategy == "parallel"
+        assert result.plan.forced == "parallel"
+        # The external driver runs directly, with no plan.
+        result = similarity_join(
             points, epsilon=0.2, engine="external", return_result=True
         )
         assert result.stats.planned_strategy == "external"
-        assert result.plan.forced == "external"
+        assert result.plan is None
 
     def test_spec_rejects_unknown_engine(self):
         with pytest.raises(ConfigError):
@@ -424,6 +412,27 @@ class TestServeViewAttach:
 
         asyncio.run(scenario())
 
+    def test_fresh_high_dimensional_snapshot_attaches_as_view(self, tmp_path):
+        # A fresh snapshot attaches as a view at any dimensionality
+        # (3000 points at d=400 is where pricing the view against
+        # recovery chose recovery), and its answers equal recovery's.
+        path = tmp_path / "sess"
+        points = _persisted_session(path, n=3000, dims=400, epsilon=0.5)
+        queries = points[::250] + 0.001
+        manager = SessionManager()
+        session = manager.attach("t", path=str(path))
+        recovered = IncrementalJoin.open(str(path))
+        try:
+            assert session.is_view
+            got = session.batch_range_query(queries)
+            want = recovered.batch_range_query(queries)
+            assert sum(len(w) for w in want) > 0
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        finally:
+            recovered.close()
+            manager.close_all()
+
     def test_stale_directory_falls_back_to_recovery(self, tmp_path):
         path = tmp_path / "sess"
         _persisted_session(path)
@@ -459,7 +468,15 @@ class TestExplainCli:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "snapshot-reuse" in out
+        assert "attach: view" in out
+        with IncrementalJoin.open(str(path)) as join:
+            join.insert(np.full((3, 6), 0.5))  # strand updates in the WAL
+        assert main(
+            ["query", "--tenant", "t", "--explain", "--path", str(path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "attach: recover" in out
+        assert "record(s) past snapshot watermark" in out
 
     def test_query_without_port_or_explain_fails(self, capsys):
         assert main(["query", "--tenant", "t"]) == 2
