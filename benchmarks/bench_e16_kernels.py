@@ -34,12 +34,12 @@ from repro.core.result import JoinStats
 from repro.core.sweep import iter_band_pairs_self
 from repro.analysis import Table, format_seconds, format_si
 
-DIM_SWEEP = [8, 16, 32, 64]
+DIM_SWEEP = [4, 6, 8, 16, 32, 64]
 N = scale(20_000)
 CANDIDATE_CAP = scale(1_500_000)
 REPEATS = 3
 
-SMOKE_DIMS = [8, 16]
+SMOKE_DIMS = [4, 6, 8, 16]
 SMOKE_N = 4_000
 SMOKE_CAP = 150_000
 SMOKE_REPEATS = 2

@@ -8,19 +8,21 @@ monolithic kernel (:meth:`repro.metrics.Metric.within_rows`) gathers all
 at high ``d`` almost all of that work is wasted on pairs that a single
 coordinate already disqualifies.
 
-This module replaces that check with a three-stage cascade, evaluated
-over a structure-of-arrays (column-major) copy of the points so each
-stage touches only the dimensions it needs:
+This module replaces that check with a staged cascade, evaluated over
+a structure-of-arrays (column-major) copy of the points so each stage
+touches only the columns it needs.  Dimensions run in selectivity order
+(widest spread first, preferring unsplit non-sort dimensions, which
+adjacency and the band sweep have not constrained yet):
 
-1. **Pre-filter stages** — one to three cheap per-dimension
-   ``|a - b| <= coordinate_bound(eps)`` masks on the most selective
-   dimensions (widest spread, preferring unsplit non-sort dimensions,
-   which adjacency and the band sweep have not constrained yet),
-   compacting the candidate arrays between stages.
+1. **Pre-filter stages** (``filter_dims``, none by default) — one
+   per-dimension ``|a - b| <= coordinate_bound(eps)`` mask each.
 2. **Blocked short-circuit reduction** — the metric's distance key is
-   accumulated over dimension blocks in selectivity order; rows whose
-   partial key already exceeds ``key(eps)`` (plus a conservative
-   rounding slack) are dropped before the next block is gathered.
+   folded one column at a time, and after every block of
+   ``DEFAULT_BLOCK_DIMS`` (two) columns the rows whose partial key
+   already exceeds ``key(eps)`` (plus a conservative rounding slack)
+   are dropped.  Each stage's survivors are one keep index, applied
+   with one ``take`` per array when the next stage starts; the last
+   block's index goes straight to the final check.
 3. **Exact final check** — survivors are re-checked with the *same*
    computation the monolithic kernel performs (natural dimension order,
    C-contiguous rows), so the emitted mask is bit-identical to
@@ -61,8 +63,12 @@ from repro.obs import trace
 #: without an explicit ``tile_rows`` use it.
 DEFAULT_TILE_ROWS = 65_536
 
-#: Dimensions accumulated per short-circuit reduction block.
-DEFAULT_BLOCK_DIMS = 8
+#: Dimensions accumulated per short-circuit reduction block.  Where one
+#: coordinate alone rejects few candidates (clustered data), pruning
+#: after every second column beats pruning after every column, whose
+#: compactions cost more than the columns they skip, and pruning after
+#: all of them, which gathers every column for nearly every row.
+DEFAULT_BLOCK_DIMS = 2
 
 #: Rows processed per chunk, mirroring ``repro.metrics.lp._ROW_CHUNK``:
 #: candidate lists of any length never gather more than this many rows
@@ -94,14 +100,6 @@ def _relative_slack(dtype: np.dtype, dims: int) -> float:
     return _MIN_RELATIVE_SLACK
 
 
-def _abs_column_diff(
-    col_a: np.ndarray, col_b: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray
-) -> np.ndarray:
-    """``|col_a[rows_a] - col_b[rows_b]|`` as one fresh ``(m,)`` array."""
-    diff = np.take(col_a, rows_a) - np.take(col_b, rows_b)
-    return np.abs(diff, out=diff)
-
-
 def gather_rows(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``(m, d)`` C-contiguous rows in natural dimension order."""
     return np.ascontiguousarray(cols[:, rows].T)
@@ -125,6 +123,16 @@ class KernelPlan:
     def n_stages(self) -> int:
         """Pre-filter stages plus the one reduction/final stage."""
         return self.n_filters + 1
+
+    @property
+    def stages(self) -> Tuple[Tuple[int, ...], ...]:
+        """Dimension groups in evaluation order: each pre-filter on its
+        own, then the reduction blocks of ``block_dims`` columns."""
+        order, first = self.order, self.n_filters
+        return tuple((dim,) for dim in order[:first]) + tuple(
+            order[start:start + self.block_dims]
+            for start in range(first, len(order), self.block_dims)
+        )
 
 
 @dataclass(frozen=True)
@@ -314,76 +322,69 @@ def filter_chunk(
     n = len(rows_a)
     emit_events = trace.is_enabled()
     touched = 0
-    # ``alive`` maps the compacted candidate arrays back to chunk
-    # positions; ``acc`` is the per-row partial distance key.
-    alive = np.arange(n, dtype=np.int64)
-    acc = np.zeros(n, dtype=cols_a.dtype)
     survivors = []
+    reduction_in = 0
+    # ``keep`` indexes the rows that passed the last prune; it is
+    # applied (with one ``take`` per array) when the next stage starts.
+    # ``alive`` maps the compacted rows back to chunk positions (None
+    # until the first compaction); ``acc`` is the per-row partial key.
+    keep = alive = acc = None
+    for stage, dims in enumerate(plan.stages):
+        if keep is not None and len(keep) < len(rows_a):
+            rows_a = rows_a.take(keep)
+            rows_b = rows_b.take(keep)
+            acc = acc.take(keep)
+            alive = keep if alive is None else alive.take(keep)
+        pre_filter = stage < plan.n_filters
+        if stage == plan.n_filters:
+            reduction_in = len(rows_a)
+        # Each column is gathered, subtracted and folded into the key on
+        # its own, so every temporary is one contiguous column.  A
+        # pre-filter stage also drops rows whose single-coordinate gap
+        # already exceeds the bound; a reduction block prunes on the key.
+        for dim in dims:
+            diff = cols_a[dim].take(rows_a) - cols_b[dim].take(rows_b)
+            if pre_filter or not metric.squared_key:
+                np.abs(diff, out=diff)
+            if pre_filter:
+                keep = np.flatnonzero(diff <= context.filter_bound)
+            acc = metric.accumulate_abs_column(acc, diff, dim)
+        touched += len(rows_a) * len(dims)
+        if not pre_filter:
+            keep = np.flatnonzero(acc <= context.prune_key)
+            if not len(keep):
+                break
+        else:
+            survivors.append(len(keep))
+            if emit_events:
+                trace.add_event(
+                    "cascade-stage",
+                    stage=stage + 1,
+                    kind="pre-filter",
+                    dim=int(dims[0]),
+                    candidates=int(len(rows_a)),
+                    survivors=int(len(keep)),
+                )
 
-    # Stage 1..n_filters: single-dimension pre-filters.
-    for stage in range(plan.n_filters):
-        dim = plan.order[stage]
-        diff = _abs_column_diff(cols_a[dim], cols_b[dim], rows_a, rows_b)
-        touched += diff.size
-        keep = np.flatnonzero(diff <= context.filter_bound)
-        rows_a = rows_a[keep]
-        rows_b = rows_b[keep]
-        alive = alive[keep]
-        # The filter dimension's contribution is already computed;
-        # folding it into the accumulator tightens later pruning.
-        acc = metric.accumulate_abs_column(acc[keep], diff[keep], dim)
-        survivors.append(len(keep))
-        if emit_events:
-            trace.add_event(
-                "cascade-stage",
-                stage=stage + 1,
-                kind="pre-filter",
-                dim=int(dim),
-                candidates=int(len(diff)),
-                survivors=int(len(keep)),
-            )
-
-    # Blocked short-circuit reduction over the remaining dimensions:
-    # each column is gathered, subtracted and folded into the key on
-    # its own, so every temporary is one contiguous column, and rows
-    # are pruned once per block.
-    remaining = plan.order[plan.n_filters:]
-    reduction_in = len(rows_a)
-    for start in range(0, len(remaining), plan.block_dims):
-        if not len(rows_a):
-            break
-        block_dims = remaining[start:start + plan.block_dims]
-        for dim in block_dims:
-            acc = metric.accumulate_abs_column(
-                acc, _abs_column_diff(cols_a[dim], cols_b[dim], rows_a, rows_b), dim
-            )
-        touched += len(rows_a) * len(block_dims)
-        keep = np.flatnonzero(acc <= context.prune_key)
-        if len(keep) < len(rows_a):
-            rows_a = rows_a[keep]
-            rows_b = rows_b[keep]
-            alive = alive[keep]
-            acc = acc[keep]
-
-    # Exact final check: reproduce the monolithic kernel's
-    # computation (natural dimension order, C-contiguous rows) on
-    # the few survivors, so boundary decisions match bit for bit.
+    # Exact final check on the last block's keep index: reproduce the
+    # monolithic kernel's computation (natural dimension order,
+    # C-contiguous rows) on the few survivors, so boundary decisions
+    # match bit for bit.
+    rows_a = rows_a.take(keep)
+    rows_b = rows_b.take(keep)
+    diff = np.abs(gather_rows(cols_a, rows_a) - gather_rows(cols_b, rows_b))
+    touched += diff.size
+    exact = metric._reduce_abs_diff(diff) <= context.exact_key
     mask = np.zeros(n, dtype=bool)
-    final_survivors = 0
-    if len(rows_a):
-        diff = np.abs(gather_rows(cols_a, rows_a) - gather_rows(cols_b, rows_b))
-        touched += diff.size
-        exact = metric._reduce_abs_diff(diff) <= context.exact_key
-        mask[alive[exact]] = True
-        final_survivors = int(np.count_nonzero(exact))
-    survivors.append(final_survivors)
+    mask[(keep if alive is None else alive.take(keep))[exact]] = True
+    survivors.append(int(np.count_nonzero(exact)))
     if emit_events:
         trace.add_event(
             "cascade-stage",
             stage=plan.n_filters + 1,
             kind="reduction",
             candidates=int(reduction_in),
-            survivors=final_survivors,
+            survivors=survivors[-1],
         )
     if stats is not None:
         for stage, count in enumerate(survivors):

@@ -16,7 +16,7 @@ squared quantities so no square roots are taken on the hot path.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +46,11 @@ class Metric:
     #: for metrics that set this.
     supports_cascade: bool = False
 
+    #: Whether the key folds each coordinate difference only by squaring
+    #: it, so :meth:`accumulate_abs_column` gives the same bits for the
+    #: signed difference ``x - y`` as for ``|x - y|``.
+    squared_key: bool = False
+
     def _reduce_abs_diff(self, diff: np.ndarray) -> np.ndarray:
         """Fold ``|x - y|`` along the last axis into a distance key."""
         raise NotImplementedError
@@ -66,14 +71,17 @@ class Metric:
         raise NotImplementedError
 
     def accumulate_abs_column(
-        self, acc: np.ndarray, diff: np.ndarray, dim: int
+        self, acc: Optional[np.ndarray], diff: np.ndarray, dim: int
     ) -> np.ndarray:
         """Fold one ``(m,)`` column of ``|x - y|`` (dimension ``dim``) into ``acc``.
 
         The single-column case of :meth:`accumulate_abs_diff`, for the
-        column-at-a-time cascade.  Implementations may update ``acc``
-        and ``diff`` in place; callers pass arrays they own.
+        column-at-a-time cascade; ``acc=None`` starts a key from this
+        column alone.  Implementations may update ``acc`` and ``diff``
+        in place; callers pass arrays they own.
         """
+        if acc is None:
+            acc = np.zeros(len(diff), dtype=diff.dtype)
         return self.accumulate_abs_diff(acc, diff[:, None], (dim,))
 
     def key(self, eps: float) -> float:
@@ -178,9 +186,10 @@ class Metric:
         return f"<Metric {self.name}>"
 
 
-def _in_place_ok(acc: np.ndarray, diff: np.ndarray) -> bool:
-    """Whether a column can fold into ``acc`` in place without a cast."""
-    return acc.dtype == diff.dtype and np.issubdtype(diff.dtype, np.floating)
+def _in_place_ok(acc: Optional[np.ndarray], diff: np.ndarray) -> bool:
+    """Whether a column can fold into ``acc`` (or start a key) in place
+    without a cast."""
+    return diff.dtype.kind == "f" and (acc is None or acc.dtype == diff.dtype)
 
 
 class LpMetric(Metric):
@@ -200,6 +209,7 @@ class LpMetric(Metric):
             )
         self.p = float(p)
         self.name = f"l{p:g}"
+        self.squared_key = self.p == 2.0
 
     def _reduce_abs_diff(self, diff: np.ndarray) -> np.ndarray:
         if self.p == 1.0:
@@ -215,7 +225,7 @@ class LpMetric(Metric):
         return acc + self._reduce_abs_diff(diff_block)
 
     def accumulate_abs_column(
-        self, acc: np.ndarray, diff: np.ndarray, dim: int
+        self, acc: Optional[np.ndarray], diff: np.ndarray, dim: int
     ) -> np.ndarray:
         if not _in_place_ok(acc, diff):
             return super().accumulate_abs_column(acc, diff, dim)
@@ -223,6 +233,8 @@ class LpMetric(Metric):
             np.multiply(diff, diff, out=diff)
         elif self.p != 1.0:
             np.power(diff, self.p, out=diff)
+        if acc is None:
+            return diff
         acc += diff
         return acc
 
@@ -248,10 +260,12 @@ class ChebyshevMetric(Metric):
         return np.maximum(acc, diff_block.max(axis=-1))
 
     def accumulate_abs_column(
-        self, acc: np.ndarray, diff: np.ndarray, dim: int
+        self, acc: Optional[np.ndarray], diff: np.ndarray, dim: int
     ) -> np.ndarray:
         if not _in_place_ok(acc, diff):
             return super().accumulate_abs_column(acc, diff, dim)
+        if acc is None:
+            return diff
         return np.maximum(acc, diff, out=acc)
 
     def key(self, eps: float) -> float:
@@ -291,6 +305,7 @@ class WeightedLpMetric(Metric):
                 f"weighted Lp metrics require p >= 1 or inf, got {p!r}"
             )
         self.p = float(p)
+        self.squared_key = self.p == 2.0
         self.weights = weights
         self.name = f"weighted-l{p:g}"
         self._weight_cache: dict = {weights.dtype: weights}
@@ -335,18 +350,21 @@ class WeightedLpMetric(Metric):
         return acc + (weights * np.power(diff_block, self.p)).sum(axis=-1)
 
     def accumulate_abs_column(
-        self, acc: np.ndarray, diff: np.ndarray, dim: int
+        self, acc: Optional[np.ndarray], diff: np.ndarray, dim: int
     ) -> np.ndarray:
         if not _in_place_ok(acc, diff):
             return super().accumulate_abs_column(acc, diff, dim)
         weight = self._weights_as(diff.dtype)[dim]
-        if self.p == np.inf:
-            return np.maximum(acc, np.multiply(diff, weight, out=diff), out=acc)
         if self.p == 2.0:
             np.multiply(diff, diff, out=diff)
-        else:
+        elif self.p != np.inf:
             np.power(diff, self.p, out=diff)
-        acc += np.multiply(diff, weight, out=diff)
+        np.multiply(diff, weight, out=diff)
+        if acc is None:
+            return diff
+        if self.p == np.inf:
+            return np.maximum(acc, diff, out=acc)
+        acc += diff
         return acc
 
     def key(self, eps: float) -> float:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import JoinSpec
 from repro.core.kernels import (
     DEFAULT_BLOCK_DIMS,
+    MIN_CASCADE_ROWS,
     KernelContext,
     KernelPlan,
     build_kernel_context,
@@ -47,13 +50,19 @@ class TestPlan:
         with pytest.raises(InvalidParameterError):
             plan_cascade(JoinSpec(epsilon=0.1), np.array([1.0]))
 
-    def test_auto_filter_count_scales_with_dims(self):
+    def test_auto_runs_no_pre_filter(self):
+        # Two-column reduction blocks alone measured faster than with
+        # pre-filters on clustered and correlated data at d = 4 to 32.
         spec = JoinSpec(epsilon=0.1)
-        assert spec.resolved_filter_dims(8) == 1
-        assert spec.resolved_filter_dims(16) == 2
-        assert spec.resolved_filter_dims(32) == 3
-        assert spec.resolved_filter_dims(64) == 3  # capped
-        assert spec.resolved_filter_dims(2) == 1
+        for dims in (2, 4, 8, 16, 64):
+            assert spec.resolved_filter_dims(dims) == 0
+        plan = plan_cascade(spec, np.ones(8))
+        assert plan.n_stages == 1
+        assert plan.stages == ((0, 1), (2, 3), (4, 5), (6, 7))
+
+    def test_stages_put_each_pre_filter_alone(self):
+        plan = KernelPlan(order=(4, 0, 3, 1, 2), n_filters=2, block_dims=2)
+        assert plan.stages == ((4,), (0,), (3, 1), (2,))
 
     def test_explicit_filter_dims_clamped_below_d(self):
         spec = JoinSpec(epsilon=0.1, filter_dims=10)
@@ -72,10 +81,12 @@ class TestPlan:
 
 class TestCascadeEnablement:
     def test_auto_gates_on_dimensionality(self):
+        # E16 measures the cascade ahead of the monolithic kernel from d=4.
         spec = JoinSpec(epsilon=0.1)
         assert not spec.cascade_enabled(2)
-        assert not spec.cascade_enabled(7)
-        assert spec.cascade_enabled(8)
+        assert not spec.cascade_enabled(3)
+        assert spec.cascade_enabled(4)
+        assert spec.cascade_enabled(6)
         assert spec.cascade_enabled(64)
 
     def test_off_and_on(self):
@@ -171,7 +182,7 @@ class TestEquivalence:
         plan = plan_cascade(
             spec,
             points.max(axis=0) - points.min(axis=0),
-            block_dims=2,
+            block_dims=1,
         )
         context = KernelContext(plan, spec, np.ascontiguousarray(points.T))
         assert (context.within_rows(rows_a, rows_b) == reference).all()
@@ -259,3 +270,70 @@ class TestValidation:
         )
         assert acc == pytest.approx([2 * 0.5**1.5] * 3)
         assert DEFAULT_BLOCK_DIMS >= 2
+
+
+# Metric factories for the exactness property: each takes ``d`` and
+# returns a metric.  The weights are dyadic and include values below 1
+# (which widen the per-coordinate bound), so a shift of ``eps / w**(1/p)``
+# along one axis is exact in binary floating point.
+PROPERTY_METRICS = {
+    "l1": lambda d: lp_metric(1),
+    "l2": lambda d: lp_metric(2),
+    "l3": lambda d: lp_metric(3),
+    "linf": lambda d: lp_metric(np.inf),
+    "weighted-l2": lambda d: WeightedLpMetric(2, np.resize([0.25, 1.0, 0.0625], d)),
+    "weighted-linf": lambda d: WeightedLpMetric(np.inf, np.resize([0.5, 1.0, 0.25], d)),
+}
+
+
+class TestExactnessProperty:
+    """``filter_chunk`` equals ``metric.within_rows`` bit for bit for any
+    stage structure: every pre-filter count, block size and dimension
+    order, on tiles large enough that the staged path runs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        metric_name=st.sampled_from(sorted(PROPERTY_METRICS)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        dims=st.integers(2, 9),
+        block=st.sampled_from(["1", "2", "d"]),
+        filters=st.integers(0, 8),
+        eps=st.sampled_from([0.25, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_staged_mask_matches_monolithic(
+        self, metric_name, dtype, dims, block, filters, eps, seed
+    ):
+        rng = np.random.default_rng(seed)
+        metric = PROPERTY_METRICS[metric_name](dims)
+        n_filters = filters % dims  # 0 .. d-1
+        block_dims = {"1": 1, "2": 2, "d": dims}[block]
+        # Coordinates on a 1/8 grid make many random pairs sit exactly at
+        # distance eps; the shifted copies put one pair per base point
+        # there by construction.
+        base = rng.integers(0, 16, size=(64, dims)) / 8.0
+        axis = rng.integers(0, dims, size=64)
+        weight = metric.weights[axis] if hasattr(metric, "weights") else 1.0
+        power = getattr(metric, "p", np.inf)
+        power = 1.0 if power == np.inf else power
+        shifted = base.copy()
+        shifted[np.arange(64), axis] += eps / weight ** (1.0 / power)
+        points = np.vstack([base, shifted]).astype(dtype)
+        rows = 2 * MIN_CASCADE_ROWS
+        rows_a = rng.integers(0, 128, size=rows)
+        rows_b = rng.integers(0, 128, size=rows)
+        rows_a[:64], rows_b[:64] = np.arange(64), np.arange(64, 128)
+
+        spec = JoinSpec(epsilon=eps, metric=metric)
+        plan = KernelPlan(
+            order=tuple(int(k) for k in rng.permutation(dims)),
+            n_filters=n_filters,
+            block_dims=block_dims,
+        )
+        context = KernelContext(plan, spec, np.ascontiguousarray(points.T))
+        stats = JoinStats()
+        got = context.within_rows(rows_a, rows_b, stats)
+        expected = metric.within_rows(points, points, rows_a, rows_b, eps)
+        assert expected[:64].all()
+        assert np.array_equal(got, expected)
+        assert stats.cascade_survivors[-1] == int(expected.sum())

@@ -153,6 +153,38 @@ class TestDtypePropagation:
             assert got.dtype == expected.dtype, metric.name
             assert got.tobytes() == expected.tobytes(), metric.name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_accumulate_column_starts_a_key(self, dtype):
+        """``acc=None`` starts the key from the column: the same bits as
+        folding it into zeros."""
+        diff = np.abs(np.random.default_rng(10).normal(size=20) * 4).astype(dtype)
+        for metric in self.METRICS:
+            expected = metric.accumulate_abs_diff(
+                np.zeros(20, dtype=dtype), diff[:, None], (3,)
+            )
+            got = metric.accumulate_abs_column(None, diff.copy(), 3)
+            assert got.dtype == expected.dtype, metric.name
+            assert got.tobytes() == expected.tobytes(), metric.name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_squared_key_folds_signed_difference(self, dtype):
+        """A metric that sets ``squared_key`` folds ``x - y`` and
+        ``|x - y|`` to the same bits; the others do not claim it."""
+        rng = np.random.default_rng(11)
+        signed = (rng.normal(size=20) * 4).astype(dtype)
+        acc = np.abs(rng.normal(size=20) * 4).astype(dtype)
+        squared = {m.name for m in self.METRICS if m.squared_key}
+        assert squared == {"l2", "weighted-l2"}
+        for metric in self.METRICS:
+            if not metric.squared_key:
+                continue
+            for start in (None, acc):
+                copy = None if start is None else start.copy()
+                expected = metric.accumulate_abs_column(copy, np.abs(signed), 3)
+                copy = None if start is None else start.copy()
+                got = metric.accumulate_abs_column(copy, signed.copy(), 3)
+                assert got.tobytes() == expected.tobytes(), metric.name
+
     def test_float32_rows_match_float64(self):
         rng = np.random.default_rng(7)
         points64 = rng.random((50, 4))
