@@ -3,7 +3,7 @@
 The serving front-end (:mod:`repro.serve`) answers concurrent range
 queries either naively — one tree traversal per request, in arrival
 order — or *coalesced*: requests for the same tenant and radius that
-arrive within a small window share one call to
+are submitted in one event-loop turn share one call to
 :meth:`FlatEpsilonKdbTree.batch_range_query`, which amortizes the
 descent over the whole batch.  This experiment measures what that buys
 under concurrency, over a real TCP loopback with the JSON protocol in
@@ -13,9 +13,9 @@ the loop:
   own traversal and its own round trip, nothing overlaps.
 * **N pipelined clients, no coalescing** — the naive concurrent server:
   requests interleave on the event loop but each still traverses alone.
-* **N pipelined clients, coalescing window on** — concurrent queries
-  merge into batched traversals (the measured coalesce width says how
-  many, typically close to the offered concurrency).
+* **N pipelined clients, coalescing on** — queries submitted in one
+  loop turn merge into batched traversals (the measured coalesce width
+  says how many, typically close to the offered concurrency).
 
 Each configuration reports client-observed p50/p99 latency and
 end-to-end throughput, plus the server's shed/queue counters; a final
@@ -51,7 +51,6 @@ EPSILON = 0.1
 N_POINTS = scale(8_000)
 N_CLIENTS = 6
 QUERIES_PER_CLIENT = scale(150)
-COALESCE_WINDOW = 0.003
 
 SMOKE_N_POINTS = 600
 SMOKE_N_CLIENTS = 3
@@ -69,12 +68,12 @@ async def _drive(
     points: np.ndarray,
     queries: np.ndarray,
     clients: int,
-    window: float,
+    coalesce: bool,
     max_predicted_pairs=None,
 ) -> dict:
     """Run one configuration; return its measured row."""
     server = JoinServer(
-        coalesce_window=window,
+        coalesce=coalesce,
         max_inflight=64,
         max_pending=1_000_000,
         max_predicted_pairs=max_predicted_pairs,
@@ -118,7 +117,7 @@ async def _drive(
     width = server.metrics.histogram("serve.coalesce_width")
     row = {
         "clients": clients,
-        "window_seconds": window,
+        "coalesce": coalesce,
         "queries": len(queries),
         "answered": len(latencies),
         "shed": shed,
@@ -156,24 +155,19 @@ def sweep(n_points=N_POINTS, n_clients=N_CLIENTS, per_client=QUERIES_PER_CLIENT)
     async def run_all():
         rows = []
         configs = [
-            ("1 client, no coalescing", 1, 0.0, None),
-            (f"{n_clients} clients, no coalescing", n_clients, 0.0, None),
-            (
-                f"{n_clients} clients, {COALESCE_WINDOW * 1e3:.0f}ms window",
-                n_clients,
-                COALESCE_WINDOW,
-                None,
-            ),
+            ("1 client, no coalescing", 1, False, None),
+            (f"{n_clients} clients, no coalescing", n_clients, False, None),
+            (f"{n_clients} clients, coalescing on", n_clients, True, None),
             (
                 f"{n_clients} clients, size budget 0 (all shed)",
                 n_clients,
-                0.0,
+                False,
                 0.0,
             ),
         ]
-        for label, clients, window, budget in configs:
+        for label, clients, coalesce, budget in configs:
             row = await _drive(
-                points, queries, clients, window, max_predicted_pairs=budget
+                points, queries, clients, coalesce, max_predicted_pairs=budget
             )
             row["label"] = label
             rows.append(row)
@@ -188,7 +182,6 @@ def sweep(n_points=N_POINTS, n_clients=N_CLIENTS, per_client=QUERIES_PER_CLIENT)
         "epsilon": EPSILON,
         "n_clients": n_clients,
         "queries_per_client": per_client,
-        "coalesce_window": COALESCE_WINDOW,
         "series": rows,
     }
     table = Table(

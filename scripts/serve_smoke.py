@@ -50,7 +50,6 @@ EPSILON = 0.2
 BATCH_N = 150
 N_BATCHES = 4
 N_QUERIES = 32
-COALESCE_WINDOW = 0.005
 
 _PORT_LINE = re.compile(r"serving on 127\.0\.0\.1:(\d+) ")
 
@@ -86,8 +85,6 @@ def start_server(out_dir: str, tag: str) -> tuple:
             "serve",
             "--port",
             "0",
-            "--coalesce-window",
-            str(COALESCE_WINDOW),
             "--metrics-json",
             os.path.join(out_dir, f"metrics_{tag}.json"),
             "--trace",

@@ -358,15 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         "printed on startup)",
     )
     serve.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.002,
-        metavar="SECONDS",
-        help="range queries for the same tenant and radius arriving "
-        "within this window are answered by one batched tree traversal "
-        "(default: 0.002; 0 disables coalescing)",
-    )
-    serve.add_argument(
         "--max-predicted-pairs",
         type=float,
         default=None,
@@ -934,7 +925,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         server = JoinServer(
             args.host,
             args.port,
-            coalesce_window=args.coalesce_window,
             max_predicted_pairs=args.max_predicted_pairs,
             max_inflight=args.max_inflight,
             max_pending=args.max_pending,
@@ -943,7 +933,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"serving on {args.host}:{server.port} "
-            f"(coalesce window {args.coalesce_window}s, "
+            f"(coalescing per loop turn, "
             f"size budget {args.max_predicted_pairs or 'none'})",
             flush=True,
         )

@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.core.config import JoinSpec, validate_points
 from repro.core.epsilon_kdb import Grid, TreeDescription
+from repro.core.result import sorted_unique
 from repro.errors import InvalidParameterError
 from repro.obs import trace
 
@@ -454,7 +455,8 @@ class FlatEpsilonKdbTree:
         never cross parents.
         """
         if self._child_index is None:
-            digit_values, rank = np.unique(self.node_digit, return_inverse=True)
+            digit_values = sorted_unique(self.node_digit)
+            rank = np.searchsorted(digit_values, self.node_digit)
             stride = len(digit_values) + 1
             parent = np.full(self.n_nodes, -1, dtype=np.int64)
             inner = np.flatnonzero(self.node_n_children)
@@ -582,7 +584,7 @@ class FlatEpsilonKdbTree:
         internal = ~self.node_leaf
         if not internal.any():
             return ()
-        depths = np.unique(self.node_depth[internal])
+        depths = sorted_unique(self.node_depth[internal])
         return tuple(sorted(int(self.level_dims[d]) for d in depths))
 
     def describe(self) -> TreeDescription:

@@ -51,7 +51,7 @@ from repro.core.epsilon_kdb import Grid
 from repro.core.flat_build import FlatEpsilonKdbTree, live_batch_range_query
 from repro.core.join import epsilon_kdb_join, epsilon_kdb_self_join, flat_probe
 from repro.core.resilience import FaultPlan, retry_transient
-from repro.core.result import JoinResult, JoinStats
+from repro.core.result import JoinResult, JoinStats, sort_pairs, sorted_unique
 from repro.errors import (
     AdmissionError,
     CorruptSnapshotError,
@@ -88,12 +88,7 @@ _EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
 
 def _canonical_id_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Orient id pairs ``lo < hi`` and sort lexicographically."""
-    lo = np.minimum(left, right)
-    hi = np.maximum(left, right)
-    pairs = np.column_stack([lo, hi]).astype(np.int64, copy=False)
-    if len(pairs):
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    return pairs
+    return sort_pairs(np.minimum(left, right), np.maximum(left, right))
 
 
 def subtract_pairs(pairs: np.ndarray, remove: np.ndarray) -> np.ndarray:
@@ -833,10 +828,7 @@ class IncrementalJoin:
 
     def _live_rows(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Validate a non-empty delete batch; return its (base, delta) rows."""
-        # Sort and compare neighbours: np.unique imports numpy.ma on its
-        # first call, which a fresh process replaying a delete would pay.
-        ordered = np.sort(ids)
-        if (ordered[1:] == ordered[:-1]).any():
+        if len(sorted_unique(ids)) < len(ids):
             raise InvalidParameterError("delete() ids contain duplicates")
         side, row = self._locate(ids)
         if (side < 0).any():

@@ -31,7 +31,13 @@ from repro.core.kernels import (
     LeafBatchQueue,
     build_kernel_context,
 )
-from repro.core.result import JoinResult, JoinStats, PairCollector, PairSink
+from repro.core.result import (
+    JoinResult,
+    JoinStats,
+    PairCollector,
+    PairSink,
+    sorted_unique,
+)
 from repro.core.sweep import _expand_windows
 from repro.errors import InvalidParameterError
 from repro.obs import trace
@@ -369,7 +375,7 @@ class _Frontier:
     ) -> None:
         source = self.sources[orient]
         target = self.targets[orient]
-        groups = np.unique(nodes * source.n_groups + source.groups(rows))
+        groups = sorted_unique(nodes * source.n_groups + source.groups(rows))
         self.stats.node_pairs_visited += len(groups)
         self.stats.leaf_joins += int(
             np.count_nonzero(target.leaf[groups // source.n_groups])

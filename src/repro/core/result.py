@@ -303,11 +303,7 @@ class PairCollector(PairSink):
         Useful for comparing the output of two algorithms; does not
         reorder within a pair (self-join pairs are already ``i < j``).
         """
-        out = self.pairs()
-        if len(out) == 0:
-            return out
-        order = np.lexsort((out[:, 1], out[:, 0]))
-        return out[order]
+        return sort_pairs(*self.arrays())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PairCollector count={self._count}>"
@@ -350,11 +346,7 @@ def canonicalize_self_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     lo = np.minimum(left, right)
     hi = np.maximum(left, right)
     keep = lo != hi
-    pairs = np.column_stack([lo[keep], hi[keep]])
-    if len(pairs) == 0:
-        return pairs
-    pairs = np.unique(pairs, axis=0)
-    return pairs
+    return sort_pairs(lo[keep], hi[keep], dedupe=True)
 
 
 def canonicalize_two_set_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -364,9 +356,54 @@ def canonicalize_two_set_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarra
     adjacent stripe tasks into one occurrence; the result matches the
     serial traversal's ``PairCollector.sorted_pairs()`` ordering exactly.
     """
+    return sort_pairs(left, right, dedupe=True)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Distinct entries of a 1-d array, ascending.
+
+    Sorts and compares neighbours instead of calling ``np.unique``,
+    whose first call in a process imports ``numpy.ma`` (tens of
+    milliseconds that the first join of a fresh process would pay).
+    """
+    values = np.sort(values)
+    if len(values) > 1:
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return values
+
+
+def sort_pairs(
+    left: np.ndarray, right: np.ndarray, dedupe: bool = False
+) -> np.ndarray:
+    """Aligned id arrays as ``(n, 2)`` int64 pairs in lexicographic order.
+
+    Sorts one packed key, ``(left - min) * span + (right - min)`` with
+    ``span`` the width of ``right``'s range, and unpacks it: a single
+    1-d sort instead of a two-key ``lexsort`` plus a row gather, and
+    ``dedupe`` compares neighbouring keys instead of running
+    ``np.unique(axis=0)``.  When the packed range would overflow int64
+    the pairs take the ``lexsort`` path, with the same result.
+    """
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
-    pairs = np.column_stack([left, right])
-    if len(pairs) == 0:
+    if len(left) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    left_min, right_min = int(left.min()), int(right.min())
+    span = int(right.max()) - right_min + 1
+    if (int(left.max()) - left_min + 1) * span <= np.iinfo(np.int64).max:
+        key = left - left_min
+        key *= span
+        key += right - right_min
+        key.sort()
+        if dedupe:
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        pairs = np.empty((len(key), 2), dtype=np.int64)
+        np.divmod(key, span, out=(pairs[:, 0], pairs[:, 1]))
+        pairs[:, 0] += left_min
+        pairs[:, 1] += right_min
         return pairs
-    return np.unique(pairs, axis=0)
+    pairs = np.column_stack([left, right])[np.lexsort((right, left))]
+    if dedupe:
+        fresh = (pairs[1:] != pairs[:-1]).any(axis=1)
+        pairs = pairs[np.concatenate(([True], fresh))]
+    return pairs

@@ -8,8 +8,9 @@ concurrently".  Pieces, each its own module:
 * :mod:`repro.serve.sessions` — per-tenant
   :class:`~repro.core.incremental.IncrementalJoin` sessions behind a
   :class:`SessionManager`.
-* :mod:`repro.serve.batching` — :class:`QueryCoalescer`, merging
-  concurrent range queries into single batched tree traversals.
+* :mod:`repro.serve.batching` — :class:`QueryCoalescer`, merging the
+  range queries submitted in one event-loop turn into a single batched
+  tree traversal.
 * :mod:`repro.serve.admission` — :class:`AdmissionController`,
   sketch-based size budgets plus a bounded request queue.
 * :mod:`repro.serve.server` — :class:`JoinServer`, the asyncio TCP
@@ -19,7 +20,7 @@ concurrently".  Pieces, each its own module:
 
 Typical use (see ``docs/serving.md`` for the full tour)::
 
-    server = JoinServer(coalesce_window=0.002)
+    server = JoinServer()
     await server.start()
     client = await ServeClient.connect(server.host, server.port)
     await client.attach("logs", epsilon=0.1)

@@ -3,25 +3,27 @@
 Point lookups against a shared index are the serving layer's hot path,
 and :meth:`FlatEpsilonKdbTree.batch_range_query` answers ``Q`` queries
 in one leaf-directed traversal for far less than ``Q`` times the cost
-of one.  The coalescer exploits that: the first query to arrive for a
-``(tenant, radius)`` key opens a *window* of ``window_seconds``; every
-query for the same key that lands inside the window joins the batch;
-when the window closes, one batched traversal answers all of them and
-each caller's future resolves with its own result array.
+of one.  The coalescer exploits that: the first query for a
+``(tenant, radius)`` key opens a batch and schedules it with
+``loop.call_soon``; every query for the same key submitted before that
+callback runs joins the batch, and one batched traversal then answers
+all of them.  Requests that arrived while the loop was busy (an
+insert, a mini-join, the previous batch) are parsed in the same turn,
+so batches widen with load while a lone query waits for nothing.
 
 Because a single :meth:`~TenantSession.range_query` is itself a batch
 of one, a coalesced answer is byte-identical to the answer the same
 query would have gotten alone — batching changes latency, never
 results (asserted in ``tests/test_serve.py``).
 
-``window_seconds <= 0`` disables coalescing entirely (each submit runs
-its own traversal synchronously); that is the naive baseline the E20
-benchmark compares against.
+``coalesce=False`` runs each submit's own traversal synchronously; that
+is the per-request baseline the E20 benchmark compares against.
 """
 
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,27 +35,25 @@ __all__ = ["QueryCoalescer"]
 
 
 class _Batch:
-    """Queries accumulated for one (tenant, radius) window."""
+    """Queries accumulated for one (tenant, radius) key in one loop turn."""
 
-    __slots__ = ("session", "eps", "points", "futures", "timer")
+    __slots__ = ("session", "eps", "points", "futures", "submitted")
 
     def __init__(self, session: TenantSession, eps: Optional[float]):
         self.session = session
         self.eps = eps
         self.points: List[np.ndarray] = []
         self.futures: List[asyncio.Future] = []
-        self.timer: Optional[asyncio.Task] = None
+        self.submitted: List[float] = []
 
 
 class QueryCoalescer:
     """Batches concurrent range queries per (tenant, radius) key."""
 
     def __init__(
-        self,
-        window_seconds: float = 0.0,
-        metrics: Optional[MetricsRegistry] = None,
+        self, coalesce: bool = True, metrics: Optional[MetricsRegistry] = None
     ):
-        self.window_seconds = float(window_seconds)
+        self.coalesce = coalesce
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._pending: Dict[Tuple[str, Optional[float]], _Batch] = {}
 
@@ -64,33 +64,28 @@ class QueryCoalescer:
         eps: Optional[float] = None,
     ) -> np.ndarray:
         """Answer one range query, possibly coalesced with concurrent ones."""
-        if self.window_seconds <= 0:
+        if not self.coalesce:
             self.metrics.histogram("serve.coalesce_width").observe(1)
             return session.range_query(point, eps=eps)
+        loop = asyncio.get_running_loop()
         key = (session.name, eps)
         batch = self._pending.get(key)
         if batch is None:
-            batch = _Batch(session, eps)
-            self._pending[key] = batch
-            batch.timer = asyncio.ensure_future(self._flush_later(key, batch))
-        future: asyncio.Future = asyncio.get_event_loop().create_future()
+            batch = self._pending[key] = _Batch(session, eps)
+            loop.call_soon(self._run, key, batch)
+        future: asyncio.Future = loop.create_future()
         batch.points.append(np.asarray(point, dtype=np.float64))
         batch.futures.append(future)
+        batch.submitted.append(time.perf_counter())
         return await future
 
-    async def _flush_later(self, key, batch: _Batch) -> None:
-        try:
-            await asyncio.sleep(self.window_seconds)
-        except asyncio.CancelledError:
-            return  # flush_all took over this batch
-        if self._pending.get(key) is batch:
-            del self._pending[key]
-        self._run(batch)
-
-    def _run(self, batch: _Batch) -> None:
+    def _run(self, key, batch: _Batch) -> None:
         """Execute one batched traversal and resolve every waiter."""
-        if not batch.futures:
-            return
+        del self._pending[key]
+        started = time.perf_counter()
+        wait = self.metrics.histogram("serve.coalesce_wait_seconds")
+        for submitted in batch.submitted:
+            wait.observe(started - submitted)
         self.metrics.histogram("serve.coalesce_width").observe(len(batch.futures))
         try:
             queries = np.stack(batch.points)
@@ -103,14 +98,3 @@ class QueryCoalescer:
         for future, ids in zip(batch.futures, results):
             if not future.done():
                 future.set_result(ids)
-
-    async def flush_all(self) -> None:
-        """Flush every open window immediately (graceful shutdown)."""
-        batches = list(self._pending.values())
-        self._pending.clear()
-        for batch in batches:
-            if batch.timer is not None:
-                batch.timer.cancel()
-            self._run(batch)
-        # Let cancelled timers unwind before the caller tears the loop down.
-        await asyncio.sleep(0)

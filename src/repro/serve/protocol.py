@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
 from typing import Any, Dict, Optional
 
@@ -39,6 +40,7 @@ __all__ = [
     "decode_frame",
     "decode_ids",
     "decode_points",
+    "decode_positive",
     "encode_frame",
     "error_response",
     "read_frame",
@@ -86,7 +88,7 @@ def decode_frame(data: bytes) -> Dict[str, Any]:
     """Parse one frame *body* (the JSON bytes after the header)."""
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an over-long integer
         raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(
@@ -153,6 +155,26 @@ def decode_points(value: Any, name: str = "points") -> np.ndarray:
             f"{name} must be a list of equal-length rows, got ndim={points.ndim}"
         )
     return points
+
+
+def decode_positive(value: Any, name: str) -> Optional[float]:
+    """Convert an optional JSON number to a finite float above zero.
+
+    ``None`` (field absent) passes through.  A bool, a string, a list, a
+    non-finite value (Python's ``json`` accepts ``NaN`` and ``Infinity``)
+    or a value at or below zero is a :class:`ProtocolError`.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and number > 0):
+        raise ProtocolError(f"{name} must be finite and positive, got {value!r}")
+    return number
 
 
 def decode_ids(value: Any, name: str = "ids") -> np.ndarray:

@@ -19,15 +19,16 @@ Chrome-trace exporters and the metrics registry see the serving layer
 with no extra plumbing.
 
 Shutdown is graceful: the listener closes first, in-flight request
-tasks drain, open coalescing windows flush (their waiters get real
-answers, not cancellations), and every tenant session closes — which
-fsyncs journals, so a restarted server re-attaches persisted tenants
-byte-identically.
+tasks drain (a pending coalesced batch runs in its own loop callback,
+so its waiters get real answers, not cancellations), and every tenant
+session closes — which fsyncs journals, so a restarted server
+re-attaches persisted tenants byte-identically.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from typing import Any, Dict, Optional, Set
 
@@ -42,6 +43,7 @@ from repro.serve.protocol import (
     ProtocolError,
     decode_ids,
     decode_points,
+    decode_positive,
     error_response,
     read_frame,
     write_frame,
@@ -71,7 +73,7 @@ class JoinServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        coalesce_window: float = 0.0,
+        coalesce: bool = True,
         max_predicted_pairs: Optional[float] = None,
         max_inflight: int = 8,
         max_pending: int = 64,
@@ -94,7 +96,7 @@ class JoinServer:
             max_pending=max_pending,
             metrics=self.metrics,
         )
-        self.coalescer = QueryCoalescer(coalesce_window, metrics=self.metrics)
+        self.coalescer = QueryCoalescer(coalesce, metrics=self.metrics)
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[asyncio.StreamWriter] = set()
         self._handlers: Set[asyncio.Task] = set()
@@ -120,7 +122,7 @@ class JoinServer:
         await self.stop()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain, flush, close sessions."""
+        """Graceful shutdown: stop accepting, drain, close sessions."""
         if self._stopped:
             return
         self._stopped = True
@@ -133,7 +135,6 @@ class JoinServer:
             if not pending:
                 break
             await asyncio.gather(*pending, return_exceptions=True)
-        await self.coalescer.flush_all()
         # Closing the connections unblocks handler loops parked in
         # read_frame; await them explicitly — before 3.12 wait_closed()
         # does not cover handler tasks, and leaving one parked lets the
@@ -202,10 +203,8 @@ class JoinServer:
         try:
             if op not in REQUEST_OPS:
                 raise ProtocolError(f"unknown op {op!r}")
-            deadline = request.get("deadline_ms")
-            deadline = (
-                self.default_deadline if deadline is None else float(deadline) / 1e3
-            )
+            deadline = decode_positive(request.get("deadline_ms"), "deadline_ms")
+            deadline = self.default_deadline if deadline is None else deadline / 1e3
             with trace.span("serve.request", op=op, tenant=request.get("tenant")):
                 handler = self._dispatch(request, op)
                 if deadline is not None:
@@ -317,8 +316,7 @@ class JoinServer:
     async def _op_range_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
         session = self._tenant(request)
         point = decode_points([request.get("point")], "point")[0]
-        eps = request.get("eps")
-        eps = None if eps is None else float(eps)
+        eps = decode_positive(request.get("eps"), "eps")
         self.admission.check_size(session, 1, "range_query")
         async with self.admission.slot():
             ids = await self.coalescer.submit(session, point, eps=eps)
@@ -327,8 +325,7 @@ class JoinServer:
     async def _op_mini_join(self, request: Dict[str, Any]) -> Dict[str, Any]:
         session = self._tenant(request)
         points = decode_points(request.get("points"))
-        eps = request.get("eps")
-        eps = None if eps is None else float(eps)
+        eps = decode_positive(request.get("eps"), "eps")
         self.admission.check_size(session, len(points), "mini_join")
         await session.materialize()
         async with self.admission.slot():
@@ -357,9 +354,17 @@ class JoinServer:
     async def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
         response: Dict[str, Any] = {"server": self.metrics.as_dict()}
         response["server"]["queue_depth"] = self.admission.queue_depth
-        latency = self.metrics.histogram("serve.latency_seconds")
-        response["server"]["latency_p50"] = latency.percentile(50)
-        response["server"]["latency_p99"] = latency.percentile(99)
+        for prefix, name in (
+            ("latency", "serve.latency_seconds"),
+            ("coalesce_wait", "serve.coalesce_wait_seconds"),
+        ):
+            histogram = self.metrics.histogram(name)
+            for q in (50, 99):
+                value = histogram.percentile(q)
+                # JSON has no NaN: an empty histogram reports null.
+                response["server"][f"{prefix}_p{q}"] = (
+                    None if math.isnan(value) else value
+                )
         name = request.get("tenant")
         if name is not None:
             session = self.manager.get(name)

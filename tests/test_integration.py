@@ -112,3 +112,42 @@ class TestCrossMetricConsistency:
         small = {tuple(p) for p in similarity_join(workload, epsilon=0.05)}
         large = {tuple(p) for p in similarity_join(workload, epsilon=0.15)}
         assert small <= large
+
+
+def test_join_paths_do_not_import_numpy_ma():
+    """A fresh process's self join, two-set join, batched range query and
+    session insert/delete stay clear of ``numpy.ma``: ``np.unique``
+    imports it on first use, tens of milliseconds the first join of a
+    process would pay."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from repro import IncrementalJoin, JoinSpec, similarity_join\n"
+        "rng = np.random.default_rng(31)\n"
+        "a, b = rng.random((3000, 8)), rng.random((400, 8))\n"
+        "assert len(similarity_join(a, epsilon=0.3))\n"
+        "assert len(similarity_join(a, b, epsilon=0.3))\n"
+        "session = IncrementalJoin(JoinSpec(epsilon=0.3))\n"
+        "session.insert(a[:1000])\n"
+        "assert sum(map(len, session.batch_range_query(b[:20])))\n"
+        "session.insert(a[1000:1100])\n"
+        "session.delete([1, 2, 1050])\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -7,6 +7,9 @@ from repro.core.result import (
     PairCollector,
     PairCounter,
     canonicalize_self_pairs,
+    canonicalize_two_set_pairs,
+    sort_pairs,
+    sorted_unique,
 )
 
 
@@ -97,3 +100,57 @@ class TestCanonicalize:
     def test_empty_input(self):
         pairs = canonicalize_self_pairs(np.array([]), np.array([]))
         assert pairs.shape == (0, 2)
+
+
+def _reference(left, right, dedupe):
+    pairs = np.column_stack([left, right]).astype(np.int64)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    if dedupe and len(pairs):
+        pairs = np.unique(pairs, axis=0)
+    return pairs.reshape(-1, 2)
+
+
+class TestSortPairs:
+    def test_packed_key_matches_lexsort(self):
+        rng = np.random.default_rng(5)
+        for low, high in ((0, 50), (-30, 30), (0, 2**20)):
+            left = rng.integers(low, high, 500)
+            right = rng.integers(low, high, 500)
+            for dedupe in (False, True):
+                got = sort_pairs(left, right, dedupe=dedupe)
+                want = _reference(left, right, dedupe)
+                assert got.dtype == np.int64 and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_range_takes_the_lexsort_path(self, monkeypatch):
+        big = 2**40
+        left = np.array([big, 0, big, 5, 0], dtype=np.int64)
+        right = np.array([big, 1, big, -big, 1], dtype=np.int64)
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(
+            np, "lexsort", lambda keys: calls.append(1) or lexsort(keys)
+        )
+        assert sort_pairs(left, right).tobytes() == (
+            np.array([[0, 1], [0, 1], [5, -big], [big, big], [big, big]])
+            .astype(np.int64).tobytes()
+        )
+        assert sort_pairs(left, right, dedupe=True).tolist() == [
+            [0, 1], [5, -big], [big, big]
+        ]
+        assert len(calls) == 2
+        # In range, the packed key runs and lexsort is never called.
+        sort_pairs(np.arange(5), np.arange(5)[::-1], dedupe=True)
+        assert len(calls) == 2
+
+    def test_canonicalize_two_set_keeps_sides(self):
+        pairs = canonicalize_two_set_pairs(
+            np.array([3, 1, 3, 0]), np.array([0, 2, 0, 9])
+        )
+        assert pairs.tolist() == [[0, 9], [1, 2], [3, 0]]
+        assert canonicalize_two_set_pairs([], []).shape == (0, 2)
+
+    def test_sorted_unique(self):
+        assert sorted_unique(np.array([4, 1, 4, 4, 0, 1])).tolist() == [0, 1, 4]
+        assert sorted_unique(np.array([7])).tolist() == [7]
+        assert len(sorted_unique(np.array([], dtype=np.int64))) == 0

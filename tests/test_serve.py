@@ -1,4 +1,4 @@
-"""Tests for the async serving layer (ISSUE 8).
+"""Tests for the async serving layer.
 
 The headline property: a session driven through the server — attach,
 inserts, deletes, range queries, mini-joins, snapshot re-attach after a
@@ -118,6 +118,9 @@ class TestProtocol:
             protocol.decode_frame(b"\x80\x81")
         with pytest.raises(ProtocolError, match="object"):
             protocol.decode_frame(b"[1, 2]")
+        # Python refuses to parse an integer of more than 4300 digits.
+        with pytest.raises(ProtocolError, match="JSON"):
+            protocol.decode_frame(b'{"id": ' + b"1" * 5000 + b"}")
 
     def test_decode_points_and_ids_shapes(self):
         points = protocol.decode_points([[1, 2], [3, 4]])
@@ -127,6 +130,15 @@ class TestProtocol:
             protocol.decode_points([[1], [2, 3]])
         with pytest.raises(ProtocolError):
             protocol.decode_ids([[1, 2]])
+
+    def test_decode_positive(self):
+        assert protocol.decode_positive(None, "eps") is None
+        assert protocol.decode_positive(3, "eps") == 3.0
+        assert protocol.decode_positive(0.25, "eps") == 0.25
+        for bad in ("abc", [1], True, False, float("nan"), float("inf"),
+                    10**400, 0, -5, -0.5):
+            with pytest.raises(ProtocolError, match="deadline_ms"):
+                protocol.decode_positive(bad, "deadline_ms")
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +151,7 @@ class TestServerEquivalence:
 
         async def scenario():
             rng = np.random.default_rng(60)
-            server = await _started_server(coalesce_window=0.002)
+            server = await _started_server()
             mirrors = {
                 "alpha": IncrementalJoin(JoinSpec(epsilon=0.2, leaf_size=8)),
                 "beta": IncrementalJoin(JoinSpec(epsilon=0.12, leaf_size=16)),
@@ -231,7 +243,7 @@ class TestServerEquivalence:
 
     def test_empty_delete_to_new_tenant_is_a_noop(self):
         async def scenario():
-            server = await _started_server(coalesce_window=0.0)
+            server = await _started_server(coalesce=False)
             try:
                 client = await ServeClient.connect("127.0.0.1", server.port)
                 await client.attach("fresh", epsilon=0.2)
@@ -245,6 +257,54 @@ class TestServerEquivalence:
                 got = await client.range_query("fresh", points[0])
                 assert got.tobytes() == mirror.range_query(points[0]).tobytes()
                 await client.close()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+    def test_malformed_numbers_are_protocol_errors(self):
+        """A non-number, bool, non-finite or non-positive ``deadline_ms``
+        or ``eps`` gets code ``protocol``, and the connection stays
+        usable.  Raw frames: the codec refuses to encode NaN."""
+
+        async def scenario():
+            server = await _started_server()
+            try:
+                client = await ServeClient.connect("127.0.0.1", server.port)
+                await client.attach("t", epsilon=0.1)
+                await client.insert("t", np.zeros((3, 2)))
+                await client.close()
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                bad_values = ['"abc"', "[1]", "NaN", "Infinity", "-Infinity",
+                              "true", "-5", "0"]
+                cases = [("range_query", field, value)
+                         for field in ("deadline_ms", "eps")
+                         for value in bad_values]
+                cases += [("mini_join", "eps", value) for value in bad_values]
+                for number, (op, field, value) in enumerate(cases):
+                    body = (
+                        f'{{"op":"{op}","id":{number},"tenant":"t",'
+                        f'"point":[0,0],"points":[[0,0]],"{field}":{value}}}'
+                    ).encode()
+                    writer.write(len(body).to_bytes(4, "big") + body)
+                    response = await protocol.read_frame(reader)
+                    assert response["id"] == number, response
+                    assert response["code"] == "protocol", (op, field, value)
+                    assert field in response["error"]
+                await protocol.write_frame(writer, {"op": "range_query",
+                                                    "id": "ok", "tenant": "t",
+                                                    "point": [0, 0],
+                                                    "eps": 0.05,
+                                                    "deadline_ms": 5000})
+                response = await protocol.read_frame(reader)
+                assert response["ok"] and response["ids"] == [0, 1, 2]
+                assert server.metrics.counter(
+                    "serve.deadline_exceeded"
+                ).value == 0
+                writer.close()
+                await writer.wait_closed()
             finally:
                 await server.stop()
 
@@ -285,8 +345,8 @@ class TestCoalescing:
             mirror = IncrementalJoin(JoinSpec(epsilon=0.18))
             mirror.insert(points)
             expected = [mirror.range_query(q).tobytes() for q in queries]
-            for window in (0.0, 0.005):
-                server = await _started_server(coalesce_window=window)
+            for coalesce in (False, True):
+                server = await _started_server(coalesce=coalesce)
                 try:
                     client = await ServeClient.connect("127.0.0.1", server.port)
                     await client.attach("t", epsilon=0.18)
@@ -296,7 +356,7 @@ class TestCoalescing:
                     )
                     assert [a.tobytes() for a in answers] == expected
                     width = server.metrics.histogram("serve.coalesce_width")
-                    if window > 0:
+                    if coalesce:
                         # 20 concurrent queries, far fewer traversals.
                         assert width.count < 20
                         assert width.percentile(100) > 1
@@ -308,12 +368,39 @@ class TestCoalescing:
 
         run(scenario())
 
+    def test_stats_report_coalesce_wait(self):
+        async def scenario():
+            rng = np.random.default_rng(69)
+            server = await _started_server()
+            try:
+                client = await ServeClient.connect("127.0.0.1", server.port)
+                # Empty histograms report null, not a NaN JSON refuses.
+                first = (await client.stats())["server"]
+                assert first["coalesce_wait_p50"] is None
+                assert first["coalesce_wait_p99"] is None
+                assert first["latency_p50"] is None
+                await client.attach("t", epsilon=0.2)
+                await client.insert("t", rng.random((50, 2)))
+                await asyncio.gather(
+                    *[client.range_query("t", q) for q in rng.random((7, 2))]
+                )
+                stats = (await client.stats())["server"]
+                assert stats["serve.coalesce_wait_seconds"]["count"] == 7
+                assert 0 <= stats["coalesce_wait_p50"] <= stats["coalesce_wait_p99"]
+                assert stats["coalesce_wait_p99"] < 1.0
+                assert stats["latency_p50"] <= stats["latency_p99"]
+                await client.close()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
     def test_coalescer_propagates_engine_errors(self):
         async def scenario():
             manager = SessionManager()
             session = manager.attach("t", spec=JoinSpec(epsilon=0.1))
             session.insert(np.random.default_rng(63).random((10, 2)))
-            coalescer = QueryCoalescer(window_seconds=0.002)
+            coalescer = QueryCoalescer()
             good = coalescer.submit(session, np.zeros(2))
             bad = coalescer.submit(session, np.zeros(2), eps=5.0)
             results = await asyncio.gather(good, bad, return_exceptions=True)
@@ -324,19 +411,56 @@ class TestCoalescing:
 
         run(scenario())
 
-    def test_flush_all_resolves_open_windows(self):
+    def test_lone_submit_waits_for_no_timer(self):
+        """A batch runs at the end of the loop turn that opened it: a
+        lone query resolves two ``sleep(0)`` turns after its submit ran,
+        far sooner than any timer could fire."""
+
         async def scenario():
             manager = SessionManager()
             session = manager.attach("t", spec=JoinSpec(epsilon=0.1))
             session.insert(np.full((3, 2), 0.5))
-            coalescer = QueryCoalescer(window_seconds=30.0)  # would block
+            coalescer = QueryCoalescer()
             pending = asyncio.ensure_future(
                 coalescer.submit(session, np.full(2, 0.5))
             )
-            await asyncio.sleep(0.01)
-            await coalescer.flush_all()
-            hits = await asyncio.wait_for(pending, timeout=1)
-            assert hits.tolist() == [0, 1, 2]
+            await asyncio.sleep(0)  # the submit runs and schedules its batch
+            await asyncio.sleep(0)  # the batch runs and resolves the waiter
+            await asyncio.sleep(0)  # the waiting task returns the answer
+            assert pending.done()
+            assert pending.result().tolist() == [0, 1, 2]
+            width = coalescer.metrics.histogram("serve.coalesce_width")
+            assert (width.count, width.percentile(100)) == (1, 1)
+            manager.close_all()
+
+        run(scenario())
+
+    def test_one_turn_of_submits_shares_one_traversal(self):
+        async def scenario():
+            rng = np.random.default_rng(68)
+            manager = SessionManager()
+            session = manager.attach("t", spec=JoinSpec(epsilon=0.2))
+            session.insert(rng.random((60, 2)))
+            queries = rng.random((9, 2))
+            coalescer = QueryCoalescer()
+            traversals = []
+            batch_range_query = session.batch_range_query
+
+            def counted(points, eps=None):
+                traversals.append(len(points))
+                return batch_range_query(points, eps=eps)
+
+            session.batch_range_query = counted
+            answers = await asyncio.gather(
+                *[coalescer.submit(session, q) for q in queries]
+            )
+            assert traversals == [len(queries)]
+            width = coalescer.metrics.histogram("serve.coalesce_width")
+            assert (width.count, width.percentile(100)) == (1, len(queries))
+            wait = coalescer.metrics.histogram("serve.coalesce_wait_seconds")
+            assert wait.count == len(queries) and wait.percentile(0) >= 0
+            for q, got in zip(queries, answers):
+                assert got.tobytes() == session.range_query(q).tobytes()
             manager.close_all()
 
         run(scenario())
@@ -421,14 +545,16 @@ class TestServeAdmission:
 
     def test_deadline_expires(self):
         async def scenario():
-            server = await _started_server(coalesce_window=0.5)
+            server = await _started_server()
             try:
                 client = await ServeClient.connect("127.0.0.1", server.port)
                 await client.attach("t", epsilon=0.1)
                 await client.insert("t", np.zeros((3, 2)))
-                # The coalescing window (500ms) exceeds the deadline (20ms).
+                # A 1 us deadline is shorter than one loop turn, and the
+                # query needs at least two: one to run its batch, one to
+                # return the answer.
                 with pytest.raises(RemoteError, match="deadline"):
-                    await client.range_query("t", np.zeros(2), deadline_ms=20)
+                    await client.range_query("t", np.zeros(2), deadline_ms=1e-3)
                 assert (
                     server.metrics.counter("serve.deadline_exceeded").value == 1
                 )
@@ -444,15 +570,15 @@ class TestServeAdmission:
 # ----------------------------------------------------------------------
 class TestShutdown:
     def test_clean_shutdown_answers_inflight_requests(self):
-        """Queries in an open coalescing window when shutdown arrives
-        still get real (correct) answers."""
+        """Queries read in the same turn as the shutdown request, whose
+        batch has not run yet, still get real (correct) answers."""
 
         async def scenario():
             rng = np.random.default_rng(66)
             points = rng.random((80, 2))
             mirror = IncrementalJoin(JoinSpec(epsilon=0.2))
             mirror.insert(points)
-            server = await _started_server(coalesce_window=0.2)
+            server = await _started_server()
             serve_task = asyncio.ensure_future(server.serve_until_shutdown())
             client = await ServeClient.connect("127.0.0.1", server.port)
             await client.attach("t", epsilon=0.2)
@@ -462,7 +588,7 @@ class TestShutdown:
                 asyncio.ensure_future(client.range_query("t", q))
                 for q in queries
             ]
-            await asyncio.sleep(0.01)  # let them land in the window
+            await asyncio.sleep(0)  # the queries go out just before shutdown
             await client.shutdown()
             answers = await asyncio.gather(*inflight)
             for q, got in zip(queries, answers):
