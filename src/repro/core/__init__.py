@@ -22,7 +22,7 @@ from repro.core.kernels import (
     KernelContext,
     KernelPlan,
     KernelSource,
-    LeafBatchQueue,
+    PairedLayout,
     build_kernel_context,
     plan_cascade,
 )
@@ -47,7 +47,7 @@ __all__ = [
     "KernelContext",
     "KernelPlan",
     "KernelSource",
-    "LeafBatchQueue",
+    "PairedLayout",
     "build_kernel_context",
     "plan_cascade",
     "external_self_join",

@@ -95,7 +95,9 @@ class Grid:
             hi = points.max(axis=0) if hi is None else hi
         lo, hi = cls._validated_bounds(lo, hi)
         span = hi - lo
-        n_cells = np.clip(np.floor(span / float(eps)), 1, _MAX_CELLS).astype(np.int64)
+        with np.errstate(over="ignore"):  # span / eps past float64: capped
+            cells = np.floor(span / float(eps))
+        n_cells = np.clip(cells, 1, _MAX_CELLS).astype(np.int64)
         return cls(lo=lo, hi=hi, eps=float(eps), n_cells=n_cells)
 
     @classmethod
@@ -124,11 +126,17 @@ class Grid:
         return min(max(cell, 0), int(self.n_cells[dim]) - 1)
 
     def validate(self, points: np.ndarray, name: str = "points") -> None:
-        """Raise :class:`DomainError` if any point lies outside the box."""
+        """Raise :class:`DomainError` if any point lies outside the box.
+
+        A tree's grid must cover the points it indexes (its cascade plan
+        and store scale come from the box).  Queries need no such check:
+        :meth:`cell_of` clips them into the edge cells, which are at
+        least one band wide, so adjacency stays exact for them.
+        """
         if np.any(points < self.lo) or np.any(points > self.hi):
             raise DomainError(
-                f"{name} fall outside the grid domain; clamped cells would "
-                "break adjacent-cell pruning"
+                f"{name} fall outside the grid domain; fit the grid over "
+                "every point the tree indexes (Grid.fit or Grid.fit_union)"
             )
 
 

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import JoinSpec, validate_point_sets, validate_points
+from repro.core.epsilon_kdb import _MAX_CELLS, Grid
 from repro.core.join import epsilon_kdb_join, epsilon_kdb_self_join
 from repro.core.resilience import retry_transient
 from repro.core.result import JoinStats, PairCollector, PairSink
@@ -182,12 +183,20 @@ def _stripe_relations(
             for page in pages(relation):
                 lo = min(lo, float(page[:, 0].min()))
                 hi = max(hi, float(page[:, 0].max()))
-    eps = spec.band_width
-    last_cell = max(0, int((hi - lo) // eps) - 1)
+    # Dimension-0 cells come from a one-dimensional Grid.  Cells must be
+    # at least one band wide; below span / 2**50 they widen to that, so
+    # cell ids fit the grid's cap and a tiny epsilon still spreads the
+    # points over many cells (each stripe's memory depends on it).
+    grid = Grid.fit(
+        np.empty((0, 1)),
+        max(spec.band_width, (hi - lo) / _MAX_CELLS),
+        lo=np.array([lo]),
+        hi=np.array([hi]),
+    )
+    eps = grid.eps
 
     def cells_of(page: np.ndarray) -> np.ndarray:
-        cells = np.floor((page[:, 0] - lo) / eps)
-        return np.clip(cells, 0, last_cell).astype(np.int64)
+        return grid.cell_of(page[:, 0], 0)
 
     # Pass 2: sparse histogram of the occupied dimension-0 cells.
     with trace.span("histogram-pass") as histogram_span:

@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import JoinSpec, validate_points
 from repro.core.epsilon_kdb import Grid, TreeDescription
+from repro.core.kernels import tree_kernel_context
 from repro.core.result import sorted_unique
 from repro.errors import InvalidParameterError
 from repro.obs import trace
@@ -543,18 +544,33 @@ class FlatEpsilonKdbTree:
             for i in range(len(queries))
         ]
 
-    def _point_cols(self) -> np.ndarray:
-        """Cached ``(d, n)`` column store over the tree's flat points.
+    def paired_store(self, layout) -> np.ndarray:
+        """The kernels' paired store of the flat points under ``layout``
+        (a :class:`~repro.core.kernels.PairedLayout`), cached.
 
-        Built on first kernel-routed query and reused for the tree's
-        lifetime, so repeated :meth:`batch_range_query` calls (the
-        serving layer's coalesced probes) pay the transpose copy once.
+        Built on first use and kept for the tree's lifetime, so repeated
+        probes of one tree (session inserts, the serving layer's
+        coalesced range queries) pack it once.  Only the latest layout is
+        kept: a tree meets one grid, and almost always one ``eps``.
         """
-        cols = getattr(self, "_point_cols_cache", None)
-        if cols is None:
-            cols = np.ascontiguousarray(self.points_flat.T)
-            self._point_cols_cache = cols
-        return cols
+        cached = getattr(self, "_paired_store", None)
+        if cached is None or cached[0] != layout:
+            cached = self._paired_store = (layout, layout.pack(self.points_flat))
+        return cached[1]
+
+    def probe_kernel(self, spec: JoinSpec, queries: np.ndarray):
+        """Cascade context for probing this tree with ``queries``.
+
+        The plan, thresholds and this tree's side are cached per spec
+        (so a one-query range query builds no plan); only the queries
+        are packed per call.  ``None`` when the cascade is off.
+        """
+        key = (spec.metric, spec.epsilon, spec.cascade, spec.filter_dims)
+        cached = getattr(self, "_probe_kernel", None)
+        if cached is None or cached[0] != key:
+            cached = self._probe_kernel = (key, tree_kernel_context(spec, self, self))
+        template = cached[1]
+        return None if template is None else template.with_side_a(queries)
 
     # ------------------------------------------------------------------
     # inspection
@@ -617,7 +633,6 @@ def live_batch_range_query(
     spec: JoinSpec,
     dims: Optional[int],
     tree: Optional[FlatEpsilonKdbTree],
-    base_points: Callable[[], np.ndarray],
     base_ids: np.ndarray,
     base_alive: np.ndarray,
     delta_points: np.ndarray,
@@ -632,16 +647,15 @@ def live_batch_range_query(
     unindexed delta buffer, shared by
     :meth:`~repro.core.incremental.IncrementalJoin.batch_range_query`
     and :meth:`~repro.storage.view.SnapshotView.batch_range_query`: one
-    leaf-directed tree pass for the queries inside the grid box, a
-    blocked brute scan of the base for those outside it and of the
-    delta buffer for all, tombstoned rows filtered out.  Returns one
+    leaf-directed tree pass for every query (``Grid.cell_of`` clips a
+    query outside the grid box into the box's edge cells, which are at
+    least one band wide, so the pass stays exact) and a blocked brute
+    scan of the delta buffer, tombstoned rows filtered out.  Returns one
     ascending int64 id array per query.
 
-    ``base_points`` returns the base points in ``base_ids`` order; it is
-    called only when a query leaves the grid box and some base row is
-    live, so a caller may build it lazily.  ``eps`` defaults to
-    ``spec.epsilon`` and may not exceed it (the tree's cells are sized
-    for the spec); ``owner`` names the caller in error messages.
+    ``eps`` defaults to ``spec.epsilon`` and may not exceed it (the
+    tree's cells are sized for the spec); ``owner`` names the caller in
+    error messages.
     """
     queries = validate_points(queries, "queries")
     if eps is None:
@@ -665,30 +679,13 @@ def live_batch_range_query(
         )
     parts: List[List[np.ndarray]] = [[] for _ in range(n_q)]
     all_rows = np.arange(n_q, dtype=np.int64)
-    out_rows = all_rows
-    if tree is not None:
-        grid = tree.grid
-        # The tree pass is only sound for queries inside the grid box
-        # (cell_of clips); out-of-box queries scan the base directly.
-        in_box = np.all(
-            (queries >= grid.lo[np.newaxis, :])
-            & (queries <= grid.hi[np.newaxis, :]),
-            axis=1,
-        )
-        box_rows = np.flatnonzero(in_box)
-        if len(box_rows):
-            answers = tree.batch_range_query(queries[box_rows], eps=eps)
-            for pos, hits in zip(box_rows, answers):
-                if len(hits):
-                    alive = hits[base_alive[hits]]
-                    if len(alive):
-                        parts[pos].append(base_ids[alive])
-        out_rows = np.flatnonzero(~in_box)
-    if len(out_rows) and base_alive.any():
-        _brute_range(
-            queries, out_rows, base_points(), base_ids, base_alive,
-            eps, spec.metric, parts,
-        )
+    if tree is not None and n_q:
+        answers = tree.batch_range_query(queries, eps=eps)
+        for pos, hits in enumerate(answers):
+            if len(hits):
+                alive = hits[base_alive[hits]]
+                if len(alive):
+                    parts[pos].append(base_ids[alive])
     if len(delta_points):
         _brute_range(
             queries, all_rows, delta_points, delta_ids, delta_alive,

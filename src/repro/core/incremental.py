@@ -1036,7 +1036,6 @@ class IncrementalJoin:
             spec=self.spec,
             dims=self._dims,
             tree=self._base_tree,
-            base_points=lambda: self._base_points,
             base_ids=self._base_ids,
             base_alive=self._base_alive,
             delta_points=self._delta_points,
@@ -1078,28 +1077,20 @@ class IncrementalJoin:
     def _probe_base(self, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Join a query batch against *all* base rows (caller filters alive).
 
-        Returns aligned ``(query_index, base_row)`` arrays.  The fast
-        path sends the batch rows down the base tree as one frontier
-        (:func:`~repro.core.join.flat_probe`, no batch tree); batches
-        that leave the base bounding box — and the parallel engine —
-        take the two-set entry point, which refits a union grid.
+        Returns aligned ``(query_index, base_row)`` arrays.  The batch
+        rows descend the base tree as one frontier
+        (:func:`~repro.core.join.flat_probe`, no batch tree), rows outside
+        the base bounding box included: ``Grid.cell_of`` clips them into
+        the box's edge cells, which are at least one band wide, so every
+        base row within epsilon shares or neighbours their clipped cell.
+        The parallel engine takes the two-set entry point instead.
         """
         tree_b = self._base_tree
         if tree_b is None or not len(query):
             return _EMPTY_IDS.copy(), _EMPTY_IDS.copy()
-        grid = tree_b.grid
-        out_of_box = bool(
-            np.any(query < grid.lo[np.newaxis, :])
-            or np.any(query > grid.hi[np.newaxis, :])
-        )
         if self.engine == "parallel":
             result = self._absorb(
                 self._get_executor().join(query, self._base_points)
-            )
-            return result.pairs[:, 0], result.pairs[:, 1]
-        if out_of_box:
-            result = self._absorb(
-                epsilon_kdb_join(query, self._base_points, self.spec)
             )
             return result.pairs[:, 0], result.pairs[:, 1]
         left, right, stats = flat_probe(tree_b, query, self.spec)

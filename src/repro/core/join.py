@@ -25,12 +25,8 @@ import numpy as np
 from repro.core.config import JoinSpec, validate_point_sets, validate_points
 from repro.core.epsilon_kdb import Grid
 from repro.core.flat_build import FlatEpsilonKdbTree
-from repro.core.kernels import (
-    KernelContext,
-    KernelSource,
-    LeafBatchQueue,
-    build_kernel_context,
-)
+from repro.core import kernels
+from repro.core.kernels import KernelContext, tree_kernel_context
 from repro.core.result import (
     JoinResult,
     JoinStats,
@@ -59,7 +55,7 @@ class _JoinContext:
         "kernel",
         "perm_a",
         "perm_b",
-        "queue",
+        "tile_rows",
     )
 
     def __init__(
@@ -87,32 +83,43 @@ class _JoinContext:
         # back to caller indices at emit time (None = identity).
         self.perm_a = perm_a
         self.perm_b = perm_b
-        # Batched leaf-pair work-queue: leaves enqueue band-sweep
-        # candidates and the filter kernel runs once per full tile
-        # instead of once per leaf.  Callers must invoke finish().
-        self.queue = LeafBatchQueue(self._filter_rows, self._emit)
-        self.stats.kernel_tile_rows = self.queue.tile_rows
+        # Candidates per kernel call (read at join time, so a test can
+        # pin it).
+        self.tile_rows = kernels.DEFAULT_TILE_ROWS
+        self.stats.kernel_tile_rows = self.tile_rows
 
-    def _filter_rows(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Filter one work-queue tile; records the kernel stats."""
+    def filter_windows(
+        self, rows: np.ndarray, start: np.ndarray, end: np.ndarray, swap: bool
+    ) -> None:
+        """Filter one group of band windows and emit the survivors.
+
+        Source row ``rows[i]`` meets target rows ``[start[i], end[i])``;
+        sources are side a, or side b when ``swap``.  Without a cascade
+        the windows are expanded and checked by the monolithic kernel.
+        """
         started = time.perf_counter()
         if self.kernel is not None:
-            mask = self.kernel.within_rows(left, right, self.stats)
+            left, right = self.kernel.filter_windows(rows, start, end, swap, self.stats)
         else:
-            mask = self.metric.within_rows(
-                self.points_a,
-                self.points_a if self.self_mode else self.points_b,
-                left,
-                right,
-                self.eps,
+            pos, targets = _expand_windows(start, end)
+            sources = rows.take(pos)
+            left, right = (targets, sources) if swap else (sources, targets)
+            keep = np.flatnonzero(
+                self.metric.within_rows(
+                    self.points_a,
+                    self.points_a if self.self_mode else self.points_b,
+                    left,
+                    right,
+                    self.eps,
+                )
             )
+            left, right = left.take(keep), right.take(keep)
         self.stats.kernel_seconds += time.perf_counter() - started
-        self.stats.kernel_blocks += 1
-        return mask
+        self._emit(left, right)
 
     def finish(self) -> None:
-        """Flush the leaf work-queue; must run before the sink is read."""
-        self.queue.flush()
+        """Count the kernel's work in tiles of ``tile_rows`` candidates."""
+        self.stats.kernel_blocks = -(-self.stats.distance_computations // self.tile_rows)
 
     def _emit(self, left: np.ndarray, right: np.ndarray) -> None:
         if not len(left):
@@ -150,8 +157,8 @@ class _JoinContext:
 # becomes one band window from two rank-keyed ``searchsorted`` calls
 # (see :meth:`FlatEpsilonKdbTree.sweep_index`) that make exactly the
 # comparisons ``band_pairs_cross`` / ``band_pairs_self`` make on the
-# leaf's value-sorted rows; windows are expanded in row groups of at
-# most one tile and fed through the context's LeafBatchQueue.
+# leaf's value-sorted rows; windows go to the kernel in row groups of
+# about one tile of candidates (``_JoinContext.filter_windows``).
 # Row ids are positions in each tree's leaf-contiguous permuted array;
 # ``_JoinContext.perm_a/perm_b`` translate back to caller indices.
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
@@ -266,7 +273,7 @@ def _cat(chunks: List[np.ndarray]) -> np.ndarray:
 
 
 class _Frontier:
-    """Level-synchronous traversal of one join, feeding one work-queue.
+    """Level-synchronous traversal of one join, feeding one kernel.
 
     ``side_a`` / ``side_b`` are the two trees (the same object for a
     self-join); ``source_a`` is what descends ``side_b`` in orientation
@@ -281,7 +288,7 @@ class _Frontier:
         # Index each orientation's targets: 0 searches b, 1 searches a.
         self.targets = (side_b, side_a)
         self.pruning = ctx.adjacency_pruning
-        self.budget = ctx.queue.tile_rows
+        self.budget = ctx.tile_rows
         self._rank_bounds: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None, None]
 
     def run(self, level: _Level, depth: int) -> None:
@@ -445,40 +452,25 @@ class _Frontier:
     def _enqueue(
         self, rows: np.ndarray, start: np.ndarray, end: np.ndarray, swap: bool
     ) -> None:
-        """Expand windows into the work-queue, at most a tile at a time.
+        """Hand windows to the kernel, about a tile of candidates at a time.
 
-        Row groups are cut where their candidate total reaches the
-        queue's tile size (a single wider window goes alone), so a
-        join's candidates are never materialized at once.  Unlike
-        ``sweep._iter_expand`` it repeats the source rows directly
-        instead of gathering them through a position array: one pass
-        fewer per candidate, about a fifth of the traversal's time.
+        Row groups are cut where their candidate total reaches the tile
+        budget (a single wider window goes alone), so a join's
+        candidates are never materialized at once.
         """
         counts = end - start
         stops = np.cumsum(counts)
         if not len(stops) or not stops[-1]:
             return
         self.stats.distance_computations += int(stops[-1])
-        queue = self.ctx.queue
         lo = 0
         while lo < len(counts):
             done = int(stops[lo] - counts[lo])
             hi = max(
                 int(np.searchsorted(stops, done + self.budget, side="right")), lo + 1
             )
-            width = counts[lo:hi]
-            total = int(stops[hi - 1]) - done
-            if total:
-                # Candidate k of row i sits at stops[i] - width[i] - done + k.
-                offsets = start[lo:hi] - (stops[lo:hi] - width - done)
-                candidates = np.arange(total, dtype=np.int64) + np.repeat(
-                    offsets, width
-                )
-                sources = np.repeat(rows[lo:hi], width)
-                if swap:
-                    queue.add(candidates, sources)
-                else:
-                    queue.add(sources, candidates)
+            if int(stops[hi - 1]) > done:
+                self.ctx.filter_windows(rows[lo:hi], start[lo:hi], end[lo:hi], swap)
             lo = hi
 
 
@@ -525,21 +517,7 @@ def flat_probe(
     query radius) and the incremental session's base probe.
     """
     sink = PairCollector()
-    kernel = None
-    if spec.cascade_enabled(queries.shape[1]):
-        # The tree's cached column store backs the b side, so repeated
-        # probes of one tree pay its transpose once.
-        kernel = build_kernel_context(
-            spec,
-            queries,
-            points_b=tree.points_flat,
-            grid=tree.grid,
-            split_dims=tree.split_dims(),
-            sort_dim=tree.sort_dim,
-            source=KernelSource(
-                cols_a=np.ascontiguousarray(queries.T), cols_b=tree._point_cols()
-            ),
-        )
+    kernel = tree.probe_kernel(spec, queries)
     ctx = _JoinContext(
         queries,
         tree.points_flat,
@@ -701,13 +679,7 @@ def epsilon_kdb_self_join(
         # construction work at all.
         _check_tree_reuse(spec, tree.spec.epsilon, tree.grid.eps)
         build_sort_seconds = 0.0
-    kernel = build_kernel_context(
-        spec,
-        tree.points_flat,
-        grid=tree.grid,
-        split_dims=tree.split_dims(),
-        sort_dim=tree.sort_dim,
-    )
+    kernel = tree_kernel_context(spec, tree)
     with trace.span("self-join-traversal", points=len(points)) as join_span:
         stats = _flat_join(tree, tree, spec, sink, kernel, _Level(selfs=[_ROOT]), 0)
         join_span.set_attribute("pairs", sink.count)
@@ -762,14 +734,7 @@ def join_flat_trees(
     collect = sink is None
     if collect:
         sink = PairCollector()
-    kernel = build_kernel_context(
-        spec,
-        tree_r.points_flat,
-        points_b=tree_s.points_flat,
-        grid=tree_r.grid,
-        split_dims=tuple(set(tree_r.split_dims()) | set(tree_s.split_dims())),
-        sort_dim=tree_r.sort_dim,
-    )
+    kernel = tree_kernel_context(spec, tree_r, tree_s)
     with trace.span("two-set-traversal") as join_span:
         stats = _flat_join(
             tree_r, tree_s, spec, sink, kernel, _Level(pairs=([_ROOT], [_ROOT])), 0

@@ -50,7 +50,7 @@ from repro.core.join import (
     epsilon_kdb_self_join,
     join_flat_trees,
 )
-from repro.core.kernels import KernelSource, build_kernel_context
+from repro.core.kernels import KernelSource, tree_kernel_context
 from repro.core.resilience import DegradeToSerial, FaultPlan
 from repro.core.result import (
     JoinResult,
@@ -124,7 +124,7 @@ def _flat_self_stripe_task(
     The tree is not rebuilt: its permuted point array, digit matrix and
     CSR node table arrive through shared memory, and the grid is refit
     from the data (min/max are permutation-invariant, so it is identical
-    to the parent's).  The shipped flat column store backs the cascade
+    to the parent's).  The shipped paired store backs the cascade
     kernels with no row translation at all — flat rows *are* kernel rows.
     """
     started = time.perf_counter()
@@ -132,16 +132,9 @@ def _flat_self_stripe_task(
         points_flat = _WORKER_POINTS["a"]
         grid = Grid.fit(points_flat, spec.band_width)
         tree = _worker_flat_tree("a", spec, grid)
-        cols = _WORKER_POINTS.get("a_cols")
-        source = KernelSource(cols_a=cols) if cols is not None else None
-        kernel = build_kernel_context(
-            spec,
-            points_flat,
-            grid=grid,
-            split_dims=tree.split_dims(),
-            sort_dim=tree.sort_dim,
-            source=source,
-        )
+        store = _WORKER_POINTS.get("a_pairs")
+        source = KernelSource(store_a=store) if store is not None else None
+        kernel = tree_kernel_context(spec, tree, source=source)
     collector = PairCollector()
     with trace.span("self-join-traversal", points=len(points_flat)) as join_span:
         stats = _flat_self_join_range(
@@ -163,21 +156,13 @@ def _flat_cross_stripe_task(
         grid = Grid.fit_union(points_r, points_s, spec.band_width)
         tree_r = _worker_flat_tree("r", spec, grid)
         tree_s = _worker_flat_tree("s", spec, grid)
-        cols_r = _WORKER_POINTS.get("r_cols")
-        cols_s = _WORKER_POINTS.get("s_cols")
-        if cols_r is not None and cols_s is not None:
-            source = KernelSource(cols_a=cols_r, cols_b=cols_s)
+        store_r = _WORKER_POINTS.get("r_pairs")
+        store_s = _WORKER_POINTS.get("s_pairs")
+        if store_r is not None and store_s is not None:
+            source = KernelSource(store_a=store_r, store_b=store_s)
         else:
             source = None
-        kernel = build_kernel_context(
-            spec,
-            points_r,
-            points_b=points_s,
-            grid=grid,
-            split_dims=tuple(set(tree_r.split_dims()) | set(tree_s.split_dims())),
-            sort_dim=tree_r.sort_dim,
-            source=source,
-        )
+        kernel = tree_kernel_context(spec, tree_r, tree_s, source=source)
     collector = PairCollector()
     with trace.span("two-set-traversal") as join_span:
         stats = _flat_two_set_range(
@@ -440,8 +425,9 @@ class ParallelJoinExecutor:
             "a_digits": tree.digits,
             "a_nodes": tree.packed_nodes(),
         }
-        if self.spec.cascade_enabled(points.shape[1]):
-            segments["a_cols"] = np.ascontiguousarray(tree.points_flat.T)
+        kernel = tree_kernel_context(self.spec, tree)
+        if kernel is not None and kernel.store_a is not None:
+            segments["a_pairs"] = kernel.store_a
         try:
             outcomes, planned, resilience = self._run(
                 _flat_self_stripe_task, tasks, segments, started
@@ -496,9 +482,10 @@ class ParallelJoinExecutor:
             "s_digits": tree_s.digits,
             "s_nodes": tree_s.packed_nodes(),
         }
-        if self.spec.cascade_enabled(points_r.shape[1]):
-            segments["r_cols"] = np.ascontiguousarray(tree_r.points_flat.T)
-            segments["s_cols"] = np.ascontiguousarray(tree_s.points_flat.T)
+        kernel = tree_kernel_context(self.spec, tree_r, tree_s)
+        if kernel is not None and kernel.store_a is not None:
+            segments["r_pairs"] = kernel.store_a
+            segments["s_pairs"] = kernel.store_b
         try:
             outcomes, planned, resilience = self._run(
                 _flat_cross_stripe_task, tasks, segments, started

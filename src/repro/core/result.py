@@ -96,13 +96,13 @@ class JoinStats:
         batches_rejected: update batches refused by sketch-based
             admission control (``spec.admission_threshold``); a refused
             batch journals nothing and mutates nothing.
-        kernel_blocks: candidate tiles the leaf work-queue dispatched to
-            the filter kernel (cascaded or monolithic).
-        kernel_tile_rows: capacity of the leaf work-queue's tiles, in
-            candidate row pairs (a gauge; ``merge`` keeps the maximum).
-        kernel_seconds: wall-clock spent inside the leaf filter kernel,
-            summed over work-queue tiles — the figure E21's tile sweep
-            compares.
+        kernel_blocks: the filter kernel's candidates (cascaded or
+            monolithic) in tiles of ``kernel_tile_rows``, rounded up.
+        kernel_tile_rows: the frontier's tile budget, in candidate row
+            pairs per kernel call (a gauge; ``merge`` keeps the maximum).
+        kernel_seconds: wall-clock spent inside the leaf filter kernel
+            (window expansion, stages and the exact check), summed over
+            its calls — the figure E21's budget sweep compares.
         planned_strategy: execution strategy the cost-based planner
             chose (:mod:`repro.planner`), or ``"external"`` when the
             facade ran the external driver; empty when the caller

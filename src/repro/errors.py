@@ -36,9 +36,10 @@ class ConfigError(InvalidParameterError):
 class DomainError(ReproError, ValueError):
     """Points fall outside the declared grid domain.
 
-    The epsilon-kdB grid is defined over a bounding box.  Points outside
-    that box would be assigned to clamped cells, which silently breaks the
-    adjacent-cell pruning rule, so the library refuses them instead.
+    The epsilon-kdB grid is defined over a bounding box that must cover
+    every point a tree indexes; a tree build refuses points outside it.
+    (Query rows may lie anywhere: cells clip them into the box's edge
+    cells, which keeps the adjacent-cell rule exact.)
     """
 
 

@@ -78,7 +78,6 @@ class SnapshotView:
         self._delta_points = np.asarray(arrays["delta_points"], dtype=np.float64)
         self._delta_ids = np.asarray(arrays["delta_ids"], dtype=np.int64)
         self._delta_alive = np.asarray(arrays["delta_alive"], dtype=bool)
-        self._base_points: Optional[np.ndarray] = None
         if meta["tree"] is not None:
             grid_meta = meta["tree"]["grid"]
             grid = Grid(
@@ -90,9 +89,9 @@ class SnapshotView:
             # The stored grid alone makes the tree exact: a tree built
             # at a coarser epsilon (older snapshots) keeps its wider
             # cells, which only over-approximate the adjacency rule.
-            # cascade="off": the filter-cascade kernels build a (d, n)
-            # column store over *all* points on first use — a full
-            # transpose copy of the dataset, i.e. exactly the
+            # cascade="off": the filter-cascade kernels build a paired
+            # store over *all* points on first use — a full packed
+            # copy of the dataset, i.e. exactly the
             # materialization this view exists to skip.  The direct
             # leaf path instead fancy-indexes only candidate rows out
             # of the memmap, touching just the pages a query needs.
@@ -198,7 +197,6 @@ class SnapshotView:
     def close(self) -> None:
         """Drop the array references so the mappings can be reclaimed."""
         self._tree = None
-        self._base_points = None
         self._base_ids = _EMPTY_IDS
         self._base_alive = np.empty(0, dtype=bool)
         self._delta_points = np.empty((0, self._dims or 0))
@@ -227,10 +225,9 @@ class SnapshotView:
         The same answer :class:`IncrementalJoin.batch_range_query` gives
         for the recovered session, through the same
         :func:`~repro.core.flat_build.live_batch_range_query`: a
-        leaf-directed pass over the memmapped base tree for in-grid
-        queries, a blocked brute scan for out-of-grid queries and any
-        persisted delta rows, tombstones filtered, one ascending int64
-        id array per query.
+        leaf-directed pass over the memmapped base tree for every query,
+        a blocked brute scan of any persisted delta rows, tombstones
+        filtered, one ascending int64 id array per query.
         """
         return live_batch_range_query(
             queries,
@@ -238,7 +235,6 @@ class SnapshotView:
             spec=self.spec,
             dims=self._dims,
             tree=self._tree,
-            base_points=self._input_order_base,
             base_ids=self._base_ids,
             base_alive=self._base_alive,
             delta_points=self._delta_points,
@@ -246,24 +242,3 @@ class SnapshotView:
             delta_alive=self._delta_alive,
             owner="snapshot",
         )
-
-    def _input_order_base(self) -> np.ndarray:
-        """Base points gathered back to input order (out-of-grid path only).
-
-        The one place the view materializes anything: queries outside
-        the grid box cannot use the tree, so they brute-scan the base
-        set, which must align with ``base_ids``.  Built lazily and
-        cached — in-grid queries (every point the session ever indexed
-        lies inside the box) never pay it.
-        """
-        if self._base_points is None:
-            tree = self._tree
-            if tree is None or not len(tree.perm):
-                self._base_points = np.empty((0, self._dims or 0))
-            else:
-                inverse = np.empty(len(tree.perm), dtype=np.int64)
-                inverse[tree.perm] = np.arange(len(tree.perm), dtype=np.int64)
-                self._base_points = np.ascontiguousarray(
-                    tree.points_flat[inverse]
-                )
-        return self._base_points

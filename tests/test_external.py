@@ -1,5 +1,7 @@
 """Tests for the external-memory epsilon-kdB join."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,22 @@ class TestExternalJoinReporting:
         report = external_self_join(small_uniform, spec, memory_points=10_000)
         assert report.budget_respected
         assert report.peak_memory_points <= 10_000
+
+    @pytest.mark.parametrize("eps", [1e-100, 1e-300])
+    def test_tiny_epsilon_keeps_budget_and_raises_no_warning(self, eps):
+        """Dimension-0 cells come from ``Grid``: at an eps far below
+        span / 2**50 the cells widen to that, so ids fit and the points
+        still spread over many stripes."""
+        points = np.random.default_rng(8).random((20_000, 8))
+        points[1::500] = points[::500]  # duplicates: pairs at distance 0
+        spec = JoinSpec(epsilon=eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = external_self_join(points, spec, memory_points=4000)
+        assert report.budget_respected
+        assert report.stripes > 1
+        assert len(report.pairs) == 40
+        assert_same_pairs(report.pairs, oracle_self_pairs(points, spec))
 
     def test_counter_sink(self, small_clusters):
         spec = JoinSpec(epsilon=0.08)

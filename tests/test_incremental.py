@@ -6,15 +6,15 @@ must be byte-identical to a from-scratch batch join over the surviving
 points.  A hypothesis ``RuleBasedStateMachine`` drives random
 interleavings of insert/delete/compact against the brute-force oracle;
 deterministic tests pin down the individual mechanisms (delta-buffer
-probes, the out-of-grid fallback, compaction atomicity under injected
-faults, the join-size sketch, the stats plumbing).
+probes, out-of-grid rows through the base tree, compaction atomicity
+under injected faults, the join-size sketch, the stats plumbing).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -30,6 +30,7 @@ from repro.core.incremental import (
 )
 from repro.core.resilience import FaultPlan
 from repro.errors import InvalidParameterError, TransientIoError
+from repro.metrics import WeightedLpMetric
 
 EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
 
@@ -87,6 +88,71 @@ class SessionHarness:
         assert self.session.n_live == len(self.mirror), label
         live = self.session.live_ids()
         assert live.tolist() == sorted(self.mirror), label
+
+
+# ----------------------------------------------------------------------
+# rows outside the base box
+# ----------------------------------------------------------------------
+#: Dyadic radii and weights, so a shift of ``eps / w**(1/p)`` off a box
+#: edge at 0 or 1 is exact: those pairs sit at distance exactly eps.
+EDGE_METRICS = {
+    "l1": "l1",
+    "l2": "l2",
+    "linf": "linf",
+    "weighted": WeightedLpMetric(2, [0.25, 1.0, 4.0]),
+}
+
+
+def _edge_rows(rng, base, eps, metric, count):
+    """Rows at, and one ulp past, distance ``eps`` off the box edges.
+
+    Each starts from a base row moved onto a face of ``[0, 1]^3`` and
+    steps outward along that face's axis."""
+    weights = getattr(metric, "weights", np.ones(3))
+    power = getattr(metric, "p", 1.0)
+    power = 1.0 if power == np.inf else power
+    rows = base[rng.integers(0, len(base), size=count)].copy()
+    axis = rng.integers(0, 3, size=count)
+    high = rng.random(count) < 0.5
+    at = np.arange(count)
+    rows[at, axis] = np.where(high, 1.0, 0.0)
+    step = eps / weights[axis] ** (1.0 / power)
+    step = np.where(rng.random(count) < 0.5, step, np.nextafter(step, np.inf))
+    rows[at, axis] += np.where(high, step, -step)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    metric_name=st.sampled_from(sorted(EDGE_METRICS)),
+    eps=st.sampled_from([0.0625, 0.125, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_out_of_box_rows_match_brute_force(metric_name, eps, seed):
+    """Inserts, range queries and deletes of rows just past the base
+    tree's box (at distance exactly eps from rows on its faces) stay
+    exact through the tree, with no whole-base fallback."""
+    rng = np.random.default_rng(seed)
+    spec = JoinSpec(epsilon=eps, metric=EDGE_METRICS[metric_name])
+    harness = SessionHarness(spec)
+    base = rng.random((80, 3))
+    base[:6] = np.repeat(np.eye(3), 2, axis=0)  # rows on every face
+    base[6], base[7] = 0.0, 1.0  # the box is exactly [0, 1]^3
+    harness.insert(base)
+    harness.session.compact()
+    faces = base.copy()
+    faces[:40, rng.integers(0, 3)] = 1.0
+    outside = _edge_rows(rng, faces, eps, spec.metric, 24)
+    harness.insert(outside)
+    harness.check("out-of-box insert")
+    queries = _edge_rows(rng, faces, eps, spec.metric, 16)
+    ids = np.array(sorted(harness.mirror), dtype=np.int64)
+    points = np.array([harness.mirror[int(i)] for i in ids])
+    for query, hits in zip(queries, harness.session.batch_range_query(queries)):
+        near = spec.metric.within_block(query[None, :], points, eps)[0]
+        assert hits.tolist() == ids[near].tolist()
+    harness.delete(harness.session.live_ids()[-12:])
+    harness.check("out-of-box delete")
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +218,8 @@ class TestIncrementalBasics:
         harness.check("after reuse window")
 
     def test_out_of_grid_batch_takes_fallback_and_stays_exact(self):
+        # (The name predates the fallback's removal: out-of-box batches
+        # now probe the base tree like any other, clipped into its cells.)
         rng = np.random.default_rng(5)
         harness = SessionHarness(JoinSpec(**self.SPEC))
         harness.insert(rng.random((40, 3)))
@@ -597,8 +665,8 @@ class TestStreamingStatsPlumbing:
 # ----------------------------------------------------------------------
 # Quantized coordinates in a 3-cube spanning [0, 1.5]: ties and
 # boundary-exact distances are common, batches regularly escape the
-# current base grid (exercising the fallback), and epsilon=0.4 keeps the
-# pair density meaningful.
+# current base grid (probing the base tree from outside its box), and
+# epsilon=0.4 keeps the pair density meaningful.
 _coord = st.integers(min_value=0, max_value=12).map(lambda v: v / 8.0)
 _point = st.tuples(_coord, _coord, _coord)
 _batch = st.lists(_point, min_size=1, max_size=6)

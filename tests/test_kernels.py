@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import JoinSpec
+from repro.core.epsilon_kdb import Grid
 from repro.core.kernels import (
     DEFAULT_BLOCK_DIMS,
     MIN_CASCADE_ROWS,
@@ -337,3 +338,161 @@ class TestExactnessProperty:
         assert expected[:64].all()
         assert np.array_equal(got, expected)
         assert stats.cascade_survivors[-1] == int(expected.sum())
+
+
+# Metrics for the certified-prefilter property: every cascade metric,
+# fractional and weighted ones included.
+CERTIFIED_METRICS = {
+    "l1": lambda d: lp_metric(1),
+    "l1.5": lambda d: lp_metric(1.5),
+    "l2": lambda d: lp_metric(2),
+    "linf": lambda d: lp_metric(np.inf),
+    "weighted-l1.5": lambda d: WeightedLpMetric(1.5, np.resize([0.3, 1.0, 2.5], d)),
+    "weighted-l2": lambda d: WeightedLpMetric(2, np.resize([0.25, 1.0, 3.0], d)),
+    "weighted-linf": lambda d: WeightedLpMetric(np.inf, np.resize([0.5, 1.0, 4.0], d)),
+}
+
+
+def _boundary_case(rng, metric, dims, span, eps, offset):
+    """Base rows in a box, plus query rows built to sit on the margin.
+
+    The queries are base rows shifted by ``eps`` (and one ulp either
+    side) along one axis or split over two, duplicates of base rows, and
+    rows moved onto and past the box's edges.
+    """
+    lo = offset * span
+    base = lo + rng.random((96, dims)) * span
+    base[:8] = base[8:16]  # duplicate points
+    base[16] = lo  # the box's corners are data points
+    base[17] = lo + span
+    weights = getattr(metric, "weights", np.ones(dims))
+    power = getattr(metric, "p", 1.0)
+    power = 1.0 if power == np.inf else power
+    picks = rng.integers(0, len(base), size=60)
+    axis = rng.integers(0, dims, size=60)
+    queries = [base[picks[:12]]]  # duplicates of base rows
+    for step in (eps, np.nextafter(eps, 0.0), np.nextafter(eps, np.inf)):
+        shifted = base[picks].copy()
+        unit = step / weights[axis] ** (1.0 / power)
+        shifted[np.arange(60), axis] += np.where(rng.random(60) < 0.5, unit, -unit)
+        queries.append(shifted)
+        split = base[picks].copy()
+        other = (axis + 1) % dims
+        half = unit / 2.0 ** (1.0 / power)
+        split[np.arange(60), axis] += half
+        ratio = (weights[axis] / weights[other]) ** (1.0 / power)
+        split[np.arange(60), other] -= half * ratio
+        queries.append(split)
+    edges = base[picks].copy()
+    side = rng.random(60) < 0.5
+    edges[np.arange(60), axis] = np.where(side, lo, lo + span)
+    queries.append(edges)
+    beyond = edges.copy()
+    push = np.where(side, -1.0, 1.0) * rng.choice([eps, span * 1e-3, span], size=60)
+    beyond[np.arange(60), axis] += push
+    queries.append(beyond)
+    return base, np.vstack(queries)
+
+
+def _assert_certified_mask(metric_name, dims, log_span, eps_frac, offset, filters, seed):
+    rng = np.random.default_rng(seed)
+    metric = CERTIFIED_METRICS[metric_name](dims)
+    span = 10.0**log_span
+    # eps from 1e-300 up to the span: both store precisions run.
+    eps = 10.0 ** (-300.0 + eps_frac * (log_span + 300.0))
+    base, queries = _boundary_case(rng, metric, dims, span, eps, offset)
+    spec = JoinSpec(epsilon=eps, metric=metric, filter_dims=filters % dims or None)
+    context = build_kernel_context(
+        spec, queries, points_b=base, grid=Grid.fit(base, spec.band_width)
+    )
+    rows_a = np.repeat(np.arange(len(queries)), len(base))
+    rows_b = np.tile(np.arange(len(base)), len(queries))
+    expected = metric.within_rows(queries, base, rows_a, rows_b, eps)
+    stats = JoinStats()
+    got = context.within_rows(rows_a, rows_b, stats)
+    assert np.array_equal(got, expected)
+    assert stats.cascade_survivors[-1] == int(expected.sum())
+    # The same candidates as band windows, in both orientations.
+    starts = np.zeros(len(queries), dtype=np.int64)
+    left, right = context.filter_windows(
+        np.arange(len(queries)), starts, starts + len(base)
+    )
+    assert np.array_equal(left, rows_a[expected])
+    assert np.array_equal(right, rows_b[expected])
+
+
+class TestCertifiedPrefilter:
+    """The certified prefilter drops only rows the exact check rejects:
+    the mask equals ``metric.within_rows`` bit for bit on pairs at ``eps``
+    and one ulp either side, queries on and beyond the box edges,
+    duplicate points, spans from 1e-12 to 1e12 and eps from 1e-300 up to
+    the span, for every cascade metric."""
+
+    CASE = dict(
+        metric_name=st.sampled_from(sorted(CERTIFIED_METRICS)),
+        dims=st.integers(4, 9),
+        log_span=st.integers(-12, 12),
+        eps_frac=st.floats(0.0, 1.0),
+        offset=st.sampled_from([0.0, 1.0, -1e3]),
+        filters=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @settings(max_examples=120, deadline=None)
+    @given(**CASE)
+    def test_mask_matches_monolithic_bit_for_bit(self, **case):
+        _assert_certified_mask(**case)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(**CASE)
+    def test_mask_matches_monolithic_bit_for_bit_extended(self, **case):
+        _assert_certified_mask(**case)
+
+    @pytest.mark.parametrize(
+        "log_span, eps, dtype",
+        [(0, 0.1, "complex64"), (0, 1e-4, "complex128"), (12, 1e-300, "complex128")],
+    )
+    def test_precision_rule_follows_span_over_eps(self, log_span, eps, dtype):
+        spec = JoinSpec(epsilon=eps, metric="l1")
+        points = np.random.default_rng(1).random((50, 8)) * 10.0**log_span
+        context = build_kernel_context(spec, points)
+        assert context.layout.dtype == dtype
+
+    def test_keys_near_underflow_prune_nothing(self):
+        # eps**2 underflows: the monolithic check accepts whatever its own
+        # underflow accepts, so no stage may prune.
+        points = np.random.default_rng(2).random((40, 6)) * 1e-300
+        context = build_kernel_context(JoinSpec(epsilon=1e-300), points)
+        assert context.layout is None
+        rows = np.arange(40)
+        expected = L2.within_rows(points, points, rows, rows[::-1], 1e-300)
+        assert np.array_equal(context.within_rows(rows, rows[::-1]), expected)
+
+    def test_float32_margin_costs_no_pruning(self, monkeypatch):
+        """On clustered d=8 data the float32 stages pass within 0.1% of
+        the rows float64 stages pass to the exact check."""
+        import repro.core.kernels as kernels_module
+        from repro.core.sweep import iter_band_pairs_self
+        from repro.datasets import gaussian_clusters
+
+        points = gaussian_clusters(4000, 8, clusters=10, sigma=0.05, seed=3)
+        spec = JoinSpec(epsilon=0.08)
+        order = np.argsort(points[:, 0], kind="stable")
+        chunks = list(iter_band_pairs_self(points[order, 0], spec.epsilon))
+        rows_a = order[np.concatenate([a for a, _ in chunks])]
+        rows_b = order[np.concatenate([b for _, b in chunks])]
+        passed = {}
+        for widening in (kernels_module._FLOAT32_WIDENING, -1.0):
+            monkeypatch.setattr(kernels_module, "_FLOAT32_WIDENING", widening)
+            context = build_kernel_context(spec, points, sort_dim=0)
+            _, targets, *_ = context._stages(
+                None, len(rows_a), context.store_a, context.store_b, rows_a, rows_b
+            )
+            passed[context.layout.dtype] = len(targets)
+        exact = int(spec.metric.within_rows(
+            points, points, rows_a, rows_b, spec.epsilon
+        ).sum())
+        assert exact > 1000
+        assert passed["complex128"] >= exact
+        assert abs(passed["complex64"] - passed["complex128"]) <= 1e-3 * passed["complex128"]
